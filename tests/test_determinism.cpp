@@ -7,12 +7,22 @@
 // diff long before a human notices reordered JSON keys.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <limits>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <vector>
 
+#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "sim/loop_executor.hpp"
+#include "sim/master_worker.hpp"
+#include "svc/journal.hpp"
+#include "sysmodel/cases.hpp"
 #include "test_support.hpp"
 
 namespace cdsf {
@@ -64,6 +74,309 @@ TEST(Determinism, ReplicationSummaryReportBytesAreThreadCountInvariant) {
   const std::string serial = render(1);
   EXPECT_EQ(serial, render(2));
   EXPECT_EQ(serial, render(4));
+}
+
+// ------------------------------------------------------- executor goldens --
+//
+// Pinned FNV-1a digests of everything an executor run makes observable:
+// the run report, the Perfetto trace rendering, the flight record (with
+// the sink armed, so every run keeps its full event list), and every raw
+// trace entry and lifecycle event field in hex-float form. A refactor of
+// either executor that moves one RNG draw, one scheduled event, one
+// counter, one trace entry, or one flight event changes a digest here.
+// Re-pin a digest only for a deliberate, documented behaviour change.
+
+namespace fs = std::filesystem;
+
+constexpr double kGoldenDeadline = 2500.0;
+
+workload::Application golden_app() {
+  return test::simple_app("app", 100, 2000, {4000.0, 2400.0});
+}
+
+sysmodel::AvailabilitySpec golden_availability() { return sysmodel::paper_case(2); }
+
+sim::SimConfig::Failure failure(std::size_t worker, double time, sim::SimConfig::FailureKind kind,
+                                double recovery = std::numeric_limits<double>::infinity()) {
+  sim::SimConfig::Failure f;
+  f.worker = worker;
+  f.time = time;
+  f.kind = kind;
+  f.residual_availability = 0.1;
+  f.recovery_time = recovery;
+  f.corrupt_probability = 0.5;
+  return f;
+}
+
+/// Scratch directory for one golden test (flight dumps, checkpoint JSON);
+/// removed on destruction. Keeps the process-global flight sink armed for
+/// its lifetime so finalize_run always merges the full event list.
+class GoldenScratch {
+ public:
+  explicit GoldenScratch(const std::string& name)
+      : dir_(fs::path(::testing::TempDir()) / ("cdsf_golden_" + name)) {
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
+    obs::FlightSink::global().arm((dir_ / "flight").string(), 1000);
+  }
+  ~GoldenScratch() {
+    obs::FlightSink::global().disarm();
+    std::error_code ignored;
+    fs::remove_all(dir_, ignored);
+  }
+  GoldenScratch(const GoldenScratch&) = delete;
+  GoldenScratch& operator=(const GoldenScratch&) = delete;
+
+  [[nodiscard]] std::string path(const std::string& file) const { return (dir_ / file).string(); }
+
+ private:
+  fs::path dir_;
+};
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+std::string run_bytes(const sim::RunResult& run) {
+  std::string bytes = obs::make_run_report("golden", run, kGoldenDeadline).dump(1);
+  obs::TraceSink sink;
+  obs::TraceSink::RunOptions options;
+  options.pid = 0;
+  options.process_name = "golden";
+  sink.append_run(run, options);
+  bytes += sink.to_string();
+  bytes += obs::flight_record_to_json(run.flight, obs::FlightAnomaly{}).dump(1);
+  std::ostringstream raw;
+  raw << std::hexfloat;
+  for (const sim::ChunkTraceEntry& e : run.trace) {
+    raw << "T " << e.worker << ' ' << e.iterations << ' ' << e.dispatch_time << ' '
+        << e.start_time << ' ' << e.end_time << ' ' << e.lost << ' ' << e.first << ' '
+        << e.speculative << ' ' << e.cancelled << ' ' << e.retransmitted << ' ' << e.audit
+        << ' ' << e.probe << '\n';
+  }
+  for (const sim::LifecycleEvent& e : run.events) {
+    raw << "E " << static_cast<int>(e.kind) << ' ' << e.time << ' ' << e.worker << ' '
+        << e.value << '\n';
+  }
+  return bytes + raw.str();
+}
+
+std::string mpi_bytes(const sim::MpiRunResult& result) {
+  std::ostringstream master;
+  master << std::hexfloat << "M " << result.master.requests_handled << ' '
+         << result.master.busy_time << ' ' << result.master.queue_wait_time << ' '
+         << result.master.max_queue_wait << '\n';
+  return run_bytes(result.run) + master.str();
+}
+
+std::string hex(std::uint64_t digest) {
+  char buffer[19];
+  std::snprintf(buffer, sizeof buffer, "0x%016llx", static_cast<unsigned long long>(digest));
+  return buffer;
+}
+
+void expect_digest(const std::string& bytes, std::uint64_t pinned) {
+  EXPECT_EQ(hex(svc::fnv1a64(bytes)), hex(pinned));
+}
+
+sim::SimConfig golden_config() {
+  sim::SimConfig config;
+  config.collect_trace = true;
+  return config;
+}
+
+sim::RunResult ideal(const sim::SimConfig& config, dls::TechniqueId technique) {
+  return sim::simulate_loop(golden_app(), 0, 4, golden_availability(), technique, config,
+                            kSeed);
+}
+
+sim::MpiRunResult mpi(const sim::SimConfig& config, dls::TechniqueId technique) {
+  return sim::simulate_loop_mpi(golden_app(), 0, 4, golden_availability(), technique, config,
+                                sim::MessageModel{}, kSeed);
+}
+
+using Kind = sim::SimConfig::FailureKind;
+
+TEST(ExecutorGolden, IdealCleanFac) {
+  const GoldenScratch scratch("ideal_clean");
+  expect_digest(run_bytes(ideal(golden_config(), dls::TechniqueId::kFAC)),
+                0xf1025b7853e4bd44ULL);
+}
+
+TEST(ExecutorGolden, IdealCrashRecoverAwfB) {
+  const GoldenScratch scratch("ideal_crash");
+  sim::SimConfig config = golden_config();
+  config.failures.push_back(failure(1, 900.0, Kind::kCrashRecover, 1300.0));
+  config.failures.push_back(failure(3, 1500.0, Kind::kCrash));
+  const sim::RunResult run = ideal(config, dls::TechniqueId::kAWF_B);
+  EXPECT_GT(run.faults.chunks_lost, 0u);
+  expect_digest(run_bytes(run), 0x1e0afebef884f070ULL);
+}
+
+TEST(ExecutorGolden, IdealDegradeWithSpeculationAndDeadlineRisk) {
+  const GoldenScratch scratch("ideal_spec");
+  sim::SimConfig config = golden_config();
+  config.failures.push_back(failure(1, 600.0, Kind::kDegrade));
+  config.speculation.enabled = true;
+  config.speculation.quantile = 2.0;
+  config.deadline_risk.enabled = true;
+  config.deadline_risk.deadline = 1500.0;
+  config.deadline_risk.check_interval = 100.0;
+  config.deadline_risk.risk_floor = 0.9;
+  const sim::RunResult run = ideal(config, dls::TechniqueId::kFAC);
+  EXPECT_GT(run.speculation.backups_launched, 0u);
+  EXPECT_GT(run.speculation.risk_escalations, 0u);
+  expect_digest(run_bytes(run), 0x5b94a12c6a3ac72fULL);
+}
+
+TEST(ExecutorGolden, IdealQuarantineWithAuditsAndSilentCorruption) {
+  const GoldenScratch scratch("ideal_gray");
+  sim::SimConfig config = golden_config();
+  config.failures.push_back(failure(2, 600.0, Kind::kDegrade));
+  config.failures.push_back(failure(1, 500.0, Kind::kSilentCorrupt));
+  config.failures.push_back(failure(3, 1200.0, Kind::kCrashRecover, 1400.0));
+  config.quarantine.enabled = true;
+  config.quarantine.ewma_alpha = 0.9;
+  config.quarantine.min_observations = 1;
+  config.quarantine.slowdown_threshold = 3.0;
+  config.quarantine.probe_interval = 25.0;
+  config.quarantine.audit_rate = 0.3;
+  config.quarantine.audit_mismatch_limit = 1;
+  config.quarantine.probe_successes = 1;
+  const sim::RunResult run = ideal(config, dls::TechniqueId::kSS);
+  EXPECT_GT(run.quarantine.quarantines, 0u);
+  EXPECT_GT(run.quarantine.probes_launched, 0u);
+  EXPECT_GT(run.quarantine.reinstatements, 0u);
+  EXPECT_GT(run.quarantine.audit_mismatches, 0u);
+  EXPECT_GT(run.quarantine.audits_matched, 0u);
+  expect_digest(run_bytes(run), 0x823256eaaf32dc9eULL);
+}
+
+TEST(ExecutorGolden, MixedGroup) {
+  const GoldenScratch scratch("mixed");
+  expect_digest(run_bytes(sim::simulate_loop_mixed(golden_app(), {0, 0, 1, 1},
+                                                   golden_availability(),
+                                                   dls::TechniqueId::kFAC, golden_config(),
+                                                   kSeed)),
+                0x05ce1080c2aaf627ULL);
+}
+
+TEST(ExecutorGolden, MpiLegacyClean) {
+  const GoldenScratch scratch("mpi_clean");
+  expect_digest(mpi_bytes(mpi(golden_config(), dls::TechniqueId::kFAC)), 0x8716a2dc134cd03dULL);
+}
+
+TEST(ExecutorGolden, MpiCrashWithDetection) {
+  const GoldenScratch scratch("mpi_crash");
+  sim::SimConfig config = golden_config();
+  config.failures.push_back(failure(1, 900.0, Kind::kCrashRecover, 1300.0));
+  config.failures.push_back(failure(3, 1500.0, Kind::kCrash));
+  const sim::MpiRunResult result = mpi(config, dls::TechniqueId::kAWF_B);
+  EXPECT_GT(result.run.faults.chunks_lost, 0u);
+  EXPECT_GT(result.run.faults.detection_latency_total, 0.0);
+  expect_digest(mpi_bytes(result), 0x202e9d1ec47154b2ULL);
+}
+
+TEST(ExecutorGolden, MpiSpeculation) {
+  const GoldenScratch scratch("mpi_spec");
+  sim::SimConfig config = golden_config();
+  config.failures.push_back(failure(1, 600.0, Kind::kDegrade));
+  config.speculation.enabled = true;
+  config.speculation.quantile = 2.0;
+  const sim::MpiRunResult result = mpi(config, dls::TechniqueId::kFAC);
+  EXPECT_GT(result.run.speculation.backups_launched, 0u);
+  expect_digest(mpi_bytes(result), 0xd3224375d3075837ULL);
+}
+
+TEST(ExecutorGolden, MpiLossyChannelWithSpeculationCheckpointAndMasterRestart) {
+  const GoldenScratch scratch("mpi_channel");
+  sim::SimConfig config = golden_config();
+  config.channel.drop_to_worker = 0.05;
+  config.channel.drop_to_master = 0.05;
+  config.channel.duplicate_to_worker = 0.1;
+  config.channel.duplicate_to_master = 0.1;
+  config.channel.reorder_to_worker = 0.1;
+  config.channel.reorder_to_master = 0.1;
+  config.channel.reorder_delay = 1.5;
+  config.checkpoint.enabled = true;
+  config.checkpoint.interval = 50.0;
+  config.checkpoint.json_path = scratch.path("checkpoint.json");
+  sim::SimConfig::Failure master;
+  master.kind = Kind::kMasterCrashRestart;
+  master.time = 1000.0;
+  master.recovery_time = 1060.0;
+  config.failures.push_back(master);
+  config.failures.push_back(failure(2, 800.0, Kind::kCrashRecover, 1100.0));
+  config.failures.push_back(failure(0, 600.0, Kind::kDegrade));
+  config.speculation.enabled = true;
+  config.speculation.quantile = 2.0;
+  const sim::MpiRunResult result = mpi(config, dls::TechniqueId::kFAC);
+  EXPECT_GT(result.run.speculation.backups_launched, 0u);
+  EXPECT_EQ(result.run.checkpoint.master_restarts, 1u);
+  EXPECT_GT(result.run.channel.drops, 0u);
+  EXPECT_GT(result.run.channel.duplicates, 0u);
+  const std::string bytes = mpi_bytes(result);
+  expect_digest(bytes + slurp(config.checkpoint.json_path), 0xcb9fa11a68db52c3ULL);
+}
+
+TEST(ExecutorGolden, MpiQuarantineWithAuditsAndCorruptingChannel) {
+  const GoldenScratch scratch("mpi_gray");
+  sim::SimConfig config = golden_config();
+  config.failures.push_back(failure(2, 600.0, Kind::kDegrade));
+  config.failures.push_back(failure(1, 500.0, Kind::kSilentCorrupt));
+  config.quarantine.enabled = true;
+  config.quarantine.ewma_alpha = 0.9;
+  config.quarantine.min_observations = 1;
+  config.quarantine.slowdown_threshold = 3.0;
+  config.quarantine.probe_interval = 25.0;
+  config.quarantine.audit_rate = 0.3;
+  config.quarantine.audit_mismatch_limit = 1;
+  config.quarantine.probe_successes = 1;
+  config.channel.corrupt_to_worker = 0.02;
+  config.channel.corrupt_to_master = 0.02;
+  const sim::MpiRunResult result = mpi(config, dls::TechniqueId::kSS);
+  EXPECT_GT(result.run.quarantine.quarantines, 0u);
+  EXPECT_GT(result.run.quarantine.probes_launched, 0u);
+  EXPECT_GT(result.run.quarantine.reinstatements, 0u);
+  EXPECT_GT(result.run.quarantine.audits_launched, 0u);
+  EXPECT_GT(result.run.quarantine.audit_mismatches, 0u);
+  EXPECT_GT(result.run.channel.corrupt_discarded, 0u);
+  expect_digest(mpi_bytes(result), 0x7c3b45b1b1cc490fULL);
+}
+
+sim::SimConfig replicated_config() {
+  sim::SimConfig config;
+  config.failures.push_back(failure(1, 900.0, Kind::kCrashRecover, 1300.0));
+  config.failures.push_back(failure(2, 600.0, Kind::kDegrade));
+  config.speculation.enabled = true;
+  config.speculation.quantile = 2.0;
+  config.quarantine.enabled = true;
+  config.quarantine.audit_rate = 0.2;
+  return config;
+}
+
+TEST(ExecutorGolden, ReplicatedSummaryAtOneAndFourThreads) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const sim::ReplicationSummary summary = sim::simulate_replicated(
+        golden_app(), 0, 4, golden_availability(), dls::TechniqueId::kAWF_B,
+        replicated_config(), kSeed, 8, kGoldenDeadline, threads);
+    expect_digest(obs::to_json(summary, kGoldenDeadline).dump(1), 0x4468c5f8f45ac291ULL);
+  }
+}
+
+TEST(ExecutorGolden, MpiReplicatedSummaryAtOneAndFourThreads) {
+  sim::SimConfig config = replicated_config();
+  config.channel.drop_to_master = 0.05;
+  config.channel.duplicate_to_worker = 0.1;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const sim::ReplicationSummary summary = sim::simulate_replicated_mpi(
+        golden_app(), 0, 4, golden_availability(), dls::TechniqueId::kAWF_B, config,
+        sim::MessageModel{}, kSeed, 8, kGoldenDeadline, threads);
+    expect_digest(obs::to_json(summary, kGoldenDeadline).dump(1), 0x7d297d8f7e8fcbebULL);
+  }
 }
 
 TEST(Determinism, MetricsSnapshotOrderIsInsertionOrderInvariant) {
