@@ -702,8 +702,9 @@ ChaosReport run_chaos_campaign(const ChaosConfig& config) {
         }
 
         if (config.include_mpi) {
-          // The message-passing executor ignores the deadline-risk monitor
-          // (idealized executors only); everything else carries over.
+          // The message-passing executor rejects the deadline-risk monitor
+          // (idealized executors only), so it is cleared; everything else
+          // carries over.
           SimConfig mpi_config = traced;
           mpi_config.deadline_risk = SimConfig::DeadlineRisk{};
           try {

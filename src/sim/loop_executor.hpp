@@ -27,6 +27,7 @@
 // Everything is deterministic given the seed.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -162,7 +163,8 @@ struct SimConfig {
   /// realization instead of drawing independently. With kSampleOnce this
   /// reproduces Stage I's arithmetic exactly: the whole group scales by a
   /// single availability draw, so a STATIC execution costs
-  /// (s + p/n) * T / a (the model behind Table V and phi_1).
+  /// (s + p/n) * T / a (the model behind Table V and phi_1). Homogeneous
+  /// groups only: simulate_loop_mixed rejects it.
   bool shared_group_availability = false;
   /// Record per-chunk trace entries (costs memory; off by default).
   bool collect_trace = false;
@@ -258,9 +260,10 @@ struct SimConfig {
   };
   Speculation speculation;
   /// Deadline-risk monitor above the speculation layer (idealized
-  /// executors): every check_interval the master projects the makespan
-  /// from in-flight progress and, when Pr(makespan <= deadline) falls
-  /// below risk_floor, escalates speculation aggressiveness — graceful
+  /// executors only; simulate_loop_mpi rejects it): every check_interval
+  /// the master projects the makespan from in-flight progress and, when
+  /// Pr(makespan <= deadline) falls below risk_floor, escalates
+  /// speculation aggressiveness — graceful
   /// degradation in stages before the framework's rho_2 re-map cliff.
   /// Requires speculation.enabled (there is nothing else to escalate).
   struct DeadlineRisk {
@@ -453,7 +456,7 @@ struct LifecycleEvent {
 struct FaultStats {
   std::size_t workers_crashed = 0;
   std::size_t workers_recovered = 0;
-  /// In-flight chunks stranded by crashes (each later re-dispatched).
+  /// In-flight chunks lost to crashes (each later re-dispatched).
   std::uint64_t chunks_lost = 0;
   /// Iterations from lost chunks that had to be executed again.
   std::int64_t iterations_reexecuted = 0;
@@ -467,6 +470,19 @@ struct FaultStats {
   /// MPI model: timeouts that expired for a worker that was NOT dead
   /// (a slow chunk probed before its report arrived).
   std::size_t false_suspicions = 0;
+
+  /// Order-independent aggregation across runs: element-wise sum, except
+  /// max_detection_latency, which keeps the maximum.
+  void accumulate(const FaultStats& other) noexcept {
+    workers_crashed += other.workers_crashed;
+    workers_recovered += other.workers_recovered;
+    chunks_lost += other.chunks_lost;
+    iterations_reexecuted += other.iterations_reexecuted;
+    wasted_work += other.wasted_work;
+    detection_latency_total += other.detection_latency_total;
+    max_detection_latency = std::max(max_detection_latency, other.max_detection_latency);
+    false_suspicions += other.false_suspicions;
+  }
 };
 
 /// Speculative-execution accounting for one run. All zero when
@@ -760,8 +776,9 @@ struct ReplicationSummary {
 /// `worker_types[w]` is the processor type of worker w; the serial phase
 /// runs on worker 0. Iteration-index profiles use the group's mean cost
 /// scaled per worker by its type's relative speed.
-/// Throws std::invalid_argument on empty worker list, unknown types, or
-/// invalid config.
+/// Throws std::invalid_argument on empty worker list, unknown types,
+/// invalid config, or shared_group_availability (undefined when workers
+/// draw from different per-type laws).
 [[nodiscard]] RunResult simulate_loop_mixed(const workload::Application& application,
                                             const std::vector<std::size_t>& worker_types,
                                             const sysmodel::AvailabilitySpec& availability,

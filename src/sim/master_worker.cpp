@@ -10,12 +10,11 @@
 #include <utility>
 
 #include "obs/json.hpp"
+#include "sim/dispatch_core.hpp"
 #include "sim/engine.hpp"
 #include "sim/sim_common.hpp"
 #include "sim/wal_recovery.hpp"
-#include "util/cancel.hpp"
 #include "util/log.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace cdsf::sim {
@@ -50,17 +49,6 @@ void write_checkpoint_json(const std::string& path, const RunResult& run) {
   out << doc.dump(2) << '\n';
 }
 
-void accumulate_faults(FaultStats& total, const FaultStats& run) {
-  total.workers_crashed += run.workers_crashed;
-  total.workers_recovered += run.workers_recovered;
-  total.chunks_lost += run.chunks_lost;
-  total.iterations_reexecuted += run.iterations_reexecuted;
-  total.wasted_work += run.wasted_work;
-  total.detection_latency_total += run.detection_latency_total;
-  total.max_detection_latency = std::max(total.max_detection_latency, run.max_detection_latency);
-  total.false_suspicions += run.false_suspicions;
-}
-
 }  // namespace
 
 MpiRunResult simulate_loop_mpi(const workload::Application& application,
@@ -71,8 +59,14 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
   if (messages.latency < 0.0 || messages.master_service_time < 0.0) {
     throw std::invalid_argument("simulate_loop_mpi: message costs must be >= 0");
   }
+  if (config.deadline_risk.enabled) {
+    throw std::invalid_argument(
+        "simulate_loop_mpi: deadline_risk is not supported (the deadline-risk monitor exists "
+        "only in the idealized executors)");
+  }
   detail::PreparedRun prepared =
-      detail::prepare_run(application, processor_type, processors, availability, config, seed);
+      detail::prepare_run(application, std::vector<std::size_t>(processors, processor_type),
+                          availability, config, seed, /*mixed=*/false);
 
   const std::unique_ptr<dls::Technique> technique = factory(prepared.params);
   if (technique == nullptr) {
@@ -101,62 +95,28 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
   // result must be droppable), so it shares the crash-mode protocol even
   // when no crash failure is configured.
   const bool speculate = config.speculation.enabled;
-  // Gray-failure machinery, structurally disarmed by default (see
-  // loop_executor.cpp): quarantine/audit decisions and the silent-wrongness
-  // ground truth need report-based accounting, so arming either joins the
-  // managed protocol.
-  const bool quarantine_armed = config.quarantine.armed();
-  const bool silent_corrupt = detail::has_silent_corrupt(config);
-  const bool gray = quarantine_armed || silent_corrupt;
+  // The gray-failure machinery (quarantine/audit decisions and the
+  // silent-wrongness ground truth) needs report-based accounting, so
+  // arming it joins the managed protocol.
+  const bool gray = config.quarantine.armed() || detail::has_silent_corrupt(config);
   const bool managed = crash_mode || speculate || hardened || gray;
 
-  MpiRunResult result;
-  result.run.workers.assign(processors, WorkerStats{});
-  // Always-on flight recorder: bounded per-worker rings, merged into
-  // result.run.flight by finalize_run. Recording never touches the RNG,
-  // the trace, or the event list, so enabling it cannot perturb the run.
-  obs::FlightRecorder flight(processors, config.flight.track_capacity,
-                             config.flight.enabled && obs::flight_recording_enabled());
-  for (const SimConfig::Failure& failure : config.failures) {
-    if (failure.kind == SimConfig::FailureKind::kDegrade ||
-        failure.kind == SimConfig::FailureKind::kMasterCrashRestart ||
-        failure.kind == SimConfig::FailureKind::kSilentCorrupt) {
-      continue;
-    }
-    result.run.faults.workers_crashed += 1;
-    if (failure.kind == SimConfig::FailureKind::kCrashRecover) {
-      result.run.faults.workers_recovered += 1;
-    }
-  }
-
-  // Serial iterations on worker 0 before the parallel loop opens.
-  double serial_end = 0.0;
-  if (application.serial_iterations() > 0) {
-    const double serial_work =
-        prepared.input_factor * detail::sample_work(application.serial_iterations(),
-                                                    prepared.mean_iter, prepared.stddev_iter,
-                                                    prepared.run_rng);
-    serial_end = prepared.workers[0].availability->finish_time(0.0, serial_work);
-    if (!std::isfinite(serial_end)) {
-      throw std::runtime_error(
-          "simulate_loop_mpi: worker 0 crashed during the serial phase — the serial "
-          "iterations have no fault tolerance (re-dispatch needs the loop to open)");
-    }
-  }
-  result.run.serial_end = serial_end;
-  result.run.makespan = serial_end;
-
-  if (config.collect_trace) {
-    for (std::size_t w = 0; w < processors; ++w) {
-      if (!prepared.workers[w].crashes()) continue;
-      result.run.events.push_back(
-          {LifecycleEvent::Kind::kWorkerCrash, prepared.workers[w].crash_time, w, 0});
-      if (std::isfinite(prepared.workers[w].recovery_time)) {
-        result.run.events.push_back({LifecycleEvent::Kind::kWorkerRecover,
-                                     prepared.workers[w].recovery_time, w, 0});
-      }
-    }
-  }
+  // The dispatch core (dispatch_core.hpp) owns the policy; this function is
+  // the message-passing transport. One message latency is the dispatch
+  // overhead: the assignment's trip to the worker.
+  detail::DispatchCore core("simulate_loop_mpi", application, config, prepared,
+                            messages.latency, seed);
+  const double serial_end =
+      core.open_run("worker 0 crashed during the serial phase — the serial iterations have no "
+                    "fault tolerance (re-dispatch needs the loop to open)");
+  const bool quarantine_armed = core.quarantine_armed;
+  RunResult& run = core.result;
+  MasterStats master_stats;
+  Engine& engine = core.engine;
+  detail::IterationPool& pool = core.pool;
+  detail::HealthTracker& health = core.health;
+  obs::FlightRecorder& flight = core.flight;
+  const std::int64_t& completed = core.completed;  // accepted parallel iterations
   // Crash/recovery instants are known up front (the availability process
   // carries them); the merge sort in finish() interleaves them correctly.
   for (std::size_t w = 0; w < processors; ++w) {
@@ -169,9 +129,6 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
     }
   }
 
-  Engine engine;
-  detail::IterationPool pool(application.parallel_iterations());
-  std::int64_t completed = 0;  // accepted parallel iterations (crash mode)
   double master_free_at = 0.0;
 
   // Master-side fault state (all untouched in legacy mode).
@@ -217,46 +174,48 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
   // Straggler-flagged assignments waiting for an idle worker to host the
   // backup copy (entries may go stale when the report arrives first).
   std::deque<std::pair<std::size_t, std::uint64_t>> stragglers;
-  double quantile = config.speculation.quantile;
 
-  // ---- Gray-failure state (dormant when disarmed; see loop_executor.cpp
-  // for the shared semantics). The audit/corruption streams are fanned out
-  // of the run seed on children 23/29 — disjoint from the run_rng, worker,
-  // availability, channel, and burst streams — and created only when armed
-  // so disarmed runs never consume them.
-  detail::HealthTracker health(config.quarantine, processors);
-  std::optional<util::RngStream> audit_rng;
-  if (quarantine_armed && config.quarantine.audit_rate > 0.0) {
-    audit_rng.emplace(util::SeedSequence(seed).child(23));
-  }
-  std::optional<util::RngStream> corrupt_rng;
-  std::vector<const SimConfig::Failure*> corrupt_failure(processors, nullptr);
-  if (silent_corrupt) {
-    corrupt_rng.emplace(util::SeedSequence(seed).child(29));
-    for (std::size_t w = 0; w < processors; ++w) {
-      corrupt_failure[w] = detail::silent_corrupt_failure(config, w);
-    }
-  }
-  // A-priori t = 0 weights for the slowdown baseline (pre-crash value for a
-  // worker already down at t = 0, matching the technique's weight seed).
-  std::vector<double> weight0(processors, 1.0);
-  if (quarantine_armed) {
-    for (std::size_t w = 0; w < processors; ++w) {
-      weight0[w] = prepared.workers[w].crashes() && prepared.workers[w].crash_time <= 0.0
-                       ? prepared.workers[w].weight_at_zero
-                       : prepared.workers[w].availability->availability_at(0.0);
-    }
-  }
-  // One queued audit: re-run `range` on a worker other than `origin` and
-  // compare. `original_wrong` carries the original completion's wrongness
-  // ground truth.
-  struct AuditJob {
-    detail::IterationPool::Range range;
-    std::size_t origin = 0;
-    bool original_wrong = false;
+  // Opens the next assignment id as worker w's outstanding chunk.
+  auto track = [&](std::size_t w, detail::IterationPool::Range range, double dispatch_time,
+                   double start_time, double end_time, bool lost) -> Outstanding& {
+    Outstanding& out = outstanding[w];
+    out = Outstanding{};
+    out.active = true;
+    out.lost = lost;
+    out.range = range;
+    out.dispatch_time = dispatch_time;
+    out.start_time = start_time;
+    out.end_time = end_time;
+    out.id = ++next_id[w];
+    return out;
   };
-  std::deque<AuditJob> audits_waiting;
-  std::vector<char> auditing(processors, 0);      // worker busy on an audit replica
+
+  // A reliable-channel assignment of `range` to worker v leaving the master
+  // now: computation starts on arrival one latency later (the
+  // scheduling_overhead of the idealized model is the message trip here, so
+  // it is NOT charged again). Physically stranded iff the worker's outage
+  // touches the chunk's lifetime: assigned before (or into) the outage and
+  // not finished by the crash — a permanent crash makes end_time +infinity,
+  // which also lands here.
+  struct Timing {
+    double dispatch_time = 0.0;
+    double start_time = 0.0;
+    double end_time = 0.0;
+    bool lost = false;
+  };
+  auto time_assignment = [&](std::size_t v, detail::IterationPool::Range range) {
+    const detail::Worker& worker = prepared.workers[v];
+    Timing t;
+    t.dispatch_time = engine.now();
+    t.start_time = t.dispatch_time + messages.latency;
+    t.end_time = worker.availability->finish_time(t.start_time, core.draw_work(v, range));
+    t.lost = t.start_time < worker.recovery_time && t.end_time > worker.crash_time;
+    return t;
+  };
+
+  // Gray-failure transport state: the verdict of an audit replica in
+  // flight across a master restart is stale (epoch), and a canary service
+  // is queued for a quarantined worker (probe_pending).
   std::vector<std::uint64_t> audit_epoch(processors, 0);
   std::vector<char> probe_pending(processors, 0);  // canary service queued
 
@@ -335,42 +294,37 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
     Outstanding& out = outstanding[w];
     if (!out.active) return;
     out.active = false;
-    flight.record(obs::FlightEventKind::kChunkLost, engine.now(),
-                  static_cast<std::uint32_t>(w), out.range.first, out.range.count);
-    if (config.collect_trace) {
-      result.run.events.push_back(
-          {LifecycleEvent::Kind::kChunkLost, engine.now(), w, out.range.count});
-    }
+    core.emit(obs::FlightEventKind::kChunkLost, LifecycleEvent::Kind::kChunkLost, w, out.range);
     if (out.lost) {
-      result.run.faults.chunks_lost += 1;
+      run.faults.chunks_lost += 1;
       const double detect_latency =
           std::max(0.0, engine.now() - prepared.workers[w].crash_time);
-      result.run.faults.detection_latency_total += detect_latency;
-      result.run.faults.max_detection_latency =
-          std::max(result.run.faults.max_detection_latency, detect_latency);
+      run.faults.detection_latency_total += detect_latency;
+      run.faults.max_detection_latency =
+          std::max(run.faults.max_detection_latency, detect_latency);
       double wasted = out.start_time - out.dispatch_time;
       if (out.start_time < engine.now()) {
         wasted += prepared.workers[w].availability->work_delivered(out.start_time, engine.now());
       }
-      result.run.faults.wasted_work += wasted;
-      if (out.speculative) result.run.speculation.backups_lost += 1;
+      run.faults.wasted_work += wasted;
+      if (out.speculative) run.speculation.backups_lost += 1;
     } else {
       // False suspicion (or an undelivered hardened assignment): the range
       // is re-dispatched and any late report will be dropped — a reclaimed
       // backup copy resolves as cancelled (the worker is alive), keeping
       // the launched == won + cancelled + lost identity intact.
-      if (out.speculative) result.run.speculation.backups_cancelled += 1;
-      if (config.collect_trace && out.trace_index >= 0) {
+      if (out.speculative) run.speculation.backups_cancelled += 1;
+      if (out.trace_index >= 0) {
         // Mark the entry so it no longer counts as delivered work (the
         // chaos harness reconstructs exactly-once coverage from the trace).
-        result.run.trace[static_cast<std::size_t>(out.trace_index)].cancelled = true;
+        run.trace[static_cast<std::size_t>(out.trace_index)].cancelled = true;
       }
     }
     if (out.has_partner && outstanding[out.partner].active &&
         outstanding[out.partner].id == out.partner_id) {
       return;  // the sibling copy still delivers the range
     }
-    result.run.faults.iterations_reexecuted += out.range.count;
+    run.faults.iterations_reexecuted += out.range.count;
     pool.give_back(out.range);
     wake_idle();
   };
@@ -384,24 +338,16 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
         Outstanding& out = outstanding[w];
         if (!out.active || out.id != id) return;
         out.probes += 1;
-        flight.record(obs::FlightEventKind::kWorkerSuspected, engine.now(),
-                      static_cast<std::uint32_t>(w), static_cast<std::int64_t>(out.probes));
-        if (config.collect_trace) {
-          result.run.events.push_back({LifecycleEvent::Kind::kWorkerSuspected, engine.now(),
-                                       w, static_cast<std::int64_t>(out.probes)});
-        }
+        core.emit(obs::FlightEventKind::kWorkerSuspected, LifecycleEvent::Kind::kWorkerSuspected,
+                  w, static_cast<std::int64_t>(out.probes));
         if (out.probes >= config.fault_detection.max_probes) {
           declared_dead[w] = 1;
-          flight.record(obs::FlightEventKind::kWorkerDeclaredDead, engine.now(),
-                        static_cast<std::uint32_t>(w));
+          core.emit(obs::FlightEventKind::kWorkerDeclaredDead,
+                    LifecycleEvent::Kind::kWorkerDeclaredDead, w);
           // An undelivered hardened assignment is a lost MESSAGE, not a
           // suspicion of a live worker mid-report.
-          if (!out.lost && out.delivered) result.run.faults.false_suspicions += 1;
+          if (!out.lost && out.delivered) run.faults.false_suspicions += 1;
           CDSF_LOG_TRACE << "mpi master declares worker " << w << " dead at " << engine.now();
-          if (config.collect_trace) {
-            result.run.events.push_back(
-                {LifecycleEvent::Kind::kWorkerDeclaredDead, engine.now(), w, 0});
-          }
           reclaim_outstanding(w);
           return;
         }
@@ -418,7 +364,7 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
     // Expected round trip from the master's a-priori knowledge: the
     // weight seed (observed availability) is all it has — the actual
     // availability path is exactly what it cannot see.
-    const double expected_compute = static_cast<double>(count) * prepared.mean_iter *
+    const double expected_compute = static_cast<double>(count) * prepared.mean_iter[w] *
                                     prepared.input_factor /
                                     std::max(prepared.params.weights[w], 0.05);
     const double timeout = std::max(config.fault_detection.min_timeout,
@@ -439,9 +385,9 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
   auto channel_send = [&](bool to_worker, bool is_ack, std::size_t w, std::int64_t seq,
                           std::function<void()> deliver) {
     if (is_ack) {
-      result.run.channel.acks_sent += 1;
+      run.channel.acks_sent += 1;
     } else {
-      result.run.channel.messages_sent += 1;
+      run.channel.messages_sent += 1;
     }
     if (!unreliable) {
       engine.schedule_after(messages.latency, std::move(deliver));
@@ -461,13 +407,13 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
       if (p > 0.0 && channel_rng->uniform01() < p) dropped = true;
     }
     if (dropped) {
-      result.run.channel.drops += 1;
-      if (burst) result.run.channel.burst_drops += 1;
+      run.channel.drops += 1;
+      if (burst) run.channel.burst_drops += 1;
       return false;
     }
     const double dup_p = to_worker ? chan.duplicate_to_worker : chan.duplicate_to_master;
     const bool duplicated = dup_p > 0.0 && channel_rng->uniform01() < dup_p;
-    if (duplicated) result.run.channel.duplicates += 1;
+    if (duplicated) run.channel.duplicates += 1;
     const double reorder_p = to_worker ? chan.reorder_to_worker : chan.reorder_to_master;
     const double corrupt_p = to_worker ? chan.corrupt_to_worker : chan.corrupt_to_master;
     std::size_t& force_corrupt = to_worker ? force_corrupt_to_worker : force_corrupt_to_master;
@@ -475,7 +421,7 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
     for (std::size_t c = 0; c < copies; ++c) {
       double delay = messages.latency;
       if (reorder_p > 0.0 && channel_rng->uniform01() < reorder_p) {
-        result.run.channel.reorders += 1;
+        run.channel.reorders += 1;
         delay += channel_rng->uniform(0.0, chan.reorder_delay);
       }
       // Payload corruption: the copy still travels, but its checksum fails
@@ -491,14 +437,10 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
       }
       if (corrupt) {
         engine.schedule_after(delay, [&, w, seq] {
-          result.run.channel.corrupted += 1;
-          result.run.channel.corrupt_discarded += 1;
-          flight.record(obs::FlightEventKind::kMessageCorrupted, engine.now(),
-                        static_cast<std::uint32_t>(w), seq);
-          if (config.collect_trace) {
-            result.run.events.push_back(
-                {LifecycleEvent::Kind::kMessageCorrupted, engine.now(), w, seq});
-          }
+          run.channel.corrupted += 1;
+          run.channel.corrupt_discarded += 1;
+          core.emit(obs::FlightEventKind::kMessageCorrupted,
+                    LifecycleEvent::Kind::kMessageCorrupted, w, seq);
         });
         continue;
       }
@@ -532,16 +474,11 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
           }
           if (resolved()) return;
           if (retries_left == 0) {
-            result.run.channel.retransmits_abandoned += 1;
+            run.channel.retransmits_abandoned += 1;
             return;
           }
-          result.run.channel.retransmits += 1;
-          flight.record(obs::FlightEventKind::kRetransmit, engine.now(),
-                        static_cast<std::uint32_t>(w), seq);
-          if (config.collect_trace) {
-            result.run.events.push_back(
-                {LifecycleEvent::Kind::kRetransmit, engine.now(), w, seq});
-          }
+          run.channel.retransmits += 1;
+          core.emit(obs::FlightEventKind::kRetransmit, LifecycleEvent::Kind::kRetransmit, w, seq);
           if (on_retransmit) on_retransmit();
           transmit(to_worker, w, seq, rto * chan.rto_backoff, retries_left - 1, epoch,
                    std::move(resolved), std::move(on_retransmit), std::move(deliver));
@@ -552,148 +489,40 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
   auto wal_append = [&](WalRecord::Kind kind, std::size_t w, std::uint64_t seqno,
                         std::int64_t first, std::int64_t count) {
     if (!checkpointing) return;
-    result.run.wal.push_back({kind, engine.now(), w, seqno, first, count});
-    result.run.checkpoint.wal_records += 1;
+    run.wal.push_back({kind, engine.now(), w, seqno, first, count});
+    run.checkpoint.wal_records += 1;
     flight.record(obs::FlightEventKind::kWalAppend, engine.now(), obs::kFlightMasterTrack,
                   static_cast<std::int64_t>(seqno), count);
   };
 
-  // Re-executes an accepted chunk on independent worker v and compares
-  // (see loop_executor.cpp for the shared semantics). The replica is
+  // Re-executes an accepted chunk on independent worker v. The replica is
   // side-channel validation traffic: it never enters the assignment
-  // protocol, feeds neither record() nor the coverage accounting, and its
-  // worker is simply busy until the verdict reaches the master one latency
-  // after completion. A mismatch marks the ORIGINATING worker suspect.
-  auto launch_audit = [&](std::size_t v, AuditJob job) {
-    const double dispatch_time = engine.now();
-    const double start_time = dispatch_time + messages.latency;
-    const double work = prepared.input_factor *
-                        detail::chunk_work(application, processor_type, prepared.mean_iter,
-                                           prepared.stddev_iter, config.iteration_cov,
-                                           job.range.first, job.range.count,
-                                           *prepared.workers[v].rng);
-    const double end_time = prepared.workers[v].availability->finish_time(start_time, work);
-    const bool lost = start_time < prepared.workers[v].recovery_time &&
-                      end_time > prepared.workers[v].crash_time;
-    health.stats.audits_launched += 1;
-    flight.record(obs::FlightEventKind::kAuditLaunched, dispatch_time,
-                  static_cast<std::uint32_t>(v), job.range.first, job.range.count);
-    if (config.collect_trace) {
-      result.run.events.push_back(
-          {LifecycleEvent::Kind::kAuditLaunched, dispatch_time, v, job.range.count});
-      result.run.trace.push_back({v, job.range.count, dispatch_time, start_time, end_time,
-                                  lost, job.range.first, false, false, false, true, false});
-    }
-    CDSF_LOG_TRACE << "mpi worker " << v << " audit " << job.range.count << " of worker "
-                   << job.origin << " [" << dispatch_time << ", " << end_time << "]"
-                   << (lost ? " LOST" : "");
-    if (lost) {
-      // The auditing worker crashes mid-replica; the verdict never lands
-      // (its rejoin request, if any, re-enters it through the usual path).
-      health.stats.audits_abandoned += 1;
-      return;
-    }
-    auditing[v] = 1;
+  // protocol, and its worker is simply busy until the verdict reaches the
+  // master one latency after completion.
+  auto launch_audit = [&](std::size_t v, const detail::AuditJob& job) {
+    const Timing t = time_assignment(v, job.range);
+    // A lost replica's verdict never lands (the worker's rejoin request,
+    // if any, re-enters it through the usual path).
+    if (!core.begin_audit(v, job, t.dispatch_time, t.start_time, t.end_time, t.lost)) return;
     const std::uint64_t epoch = ++audit_epoch[v];
-    engine.schedule_at(
-        end_time + messages.latency, [&, v, job, epoch, dispatch_time, start_time, end_time] {
-          if (master_down || audit_epoch[v] != epoch || !auditing[v]) {
-            return;  // the verdict died with the master (counted at restart)
-          }
-          auditing[v] = 0;
-          WorkerStats& ws = result.run.workers[v];
-          ws.busy_time += end_time - start_time;
-          ws.overhead_time += start_time - dispatch_time;
-          ws.finish_time = std::max(ws.finish_time, end_time);
-          // The replica itself can be silently wrong when ITS worker is
-          // gray — either wrongness makes the pair disagree.
-          bool replica_wrong = false;
-          const SimConfig::Failure* f = corrupt_failure[v];
-          if (f != nullptr && end_time > f->time &&
-              corrupt_rng->uniform01() < f->corrupt_probability) {
-            replica_wrong = true;
-          }
-          if (job.original_wrong || replica_wrong) {
-            health.stats.audit_mismatches += 1;
-            flight.record(obs::FlightEventKind::kAuditMismatch, engine.now(),
-                          static_cast<std::uint32_t>(job.origin), job.range.first,
-                          job.range.count);
-            if (config.collect_trace) {
-              result.run.events.push_back({LifecycleEvent::Kind::kAuditMismatch, engine.now(),
-                                           job.origin, job.range.count});
-            }
-            if (health.observe_mismatch(job.origin)) {
-              health.quarantine(job.origin, engine.now(), /*audit_trip=*/true);
-              flight.record(obs::FlightEventKind::kWorkerQuarantined, engine.now(),
-                            static_cast<std::uint32_t>(job.origin), 1);
-              if (config.collect_trace) {
-                result.run.events.push_back(
-                    {LifecycleEvent::Kind::kWorkerQuarantined, engine.now(), job.origin, 1});
-              }
-            }
-          } else {
-            health.stats.audits_matched += 1;
-          }
-          master_receive_request(v, 0);
-        });
+    engine.schedule_at(t.end_time + messages.latency, [&, v, job, epoch, t] {
+      if (master_down || audit_epoch[v] != epoch || !core.auditing[v]) {
+        return;  // the verdict died with the master (counted at restart)
+      }
+      core.audit_verdict(v, job, t.start_time, t.end_time, t.start_time - t.dispatch_time);
+      master_receive_request(v, 0);
+    });
   };
 
-  // Gray-failure hook at every ACCEPTED completion report: draws the
-  // silent-wrongness ground truth, feeds the fail-slow EWMA (or the canary
-  // recovery streak for probes), and enrolls a fraction of chunks for
-  // audit. Mirrors complete_copy in loop_executor.cpp; corrupted frames
-  // never reach this point (discarded at the checksum layer).
-  auto observe_accepted = [&](std::size_t w, detail::IterationPool::Range range, bool probe,
-                              double dispatch_time, double end_time) {
-    if (!gray) return;
-    const double now = engine.now();
-    bool wrong = false;
-    {
-      const SimConfig::Failure* f = corrupt_failure[w];
-      if (f != nullptr && end_time > f->time &&
-          corrupt_rng->uniform01() < f->corrupt_probability) {
-        wrong = true;
-        health.stats.corrupt_chunks_recorded += 1;
-      }
-    }
-    if (!quarantine_armed) return;
-    // Dispatch-to-completion wall clock against the a-priori expectation
-    // (one message latency covers the assignment's travel; the report trip
-    // is not in the numerator).
-    const double expected = detail::HealthTracker::expected_elapsed(
-        messages.latency,
-        prepared.input_factor * prepared.mean_iter * static_cast<double>(range.count),
-        weight0[w]);
-    const double slowdown = (end_time - dispatch_time) / expected;
-    if (probe) {
-      if (health.observe_probe(w, slowdown)) {
-        health.reinstate(w, now);
-        flight.record(obs::FlightEventKind::kWorkerRestored, now,
-                      static_cast<std::uint32_t>(w));
-        if (config.collect_trace) {
-          result.run.events.push_back({LifecycleEvent::Kind::kWorkerRestored, now, w, 0});
-        }
-      }
-      return;
-    }
-    if (health.observe(w, slowdown)) {
-      health.quarantine(w, now, /*audit_trip=*/false);
-      flight.record(obs::FlightEventKind::kWorkerQuarantined, now,
-                    static_cast<std::uint32_t>(w), 0);
-      if (config.collect_trace) {
-        result.run.events.push_back({LifecycleEvent::Kind::kWorkerQuarantined, now, w, 0});
-      }
-    }
-    if (audit_rng && audit_rng->uniform01() < config.quarantine.audit_rate) {
-      audits_waiting.push_back(AuditJob{range, w, wrong});
-      // Wake one idle eligible worker for the replica (the originator
-      // cannot audit itself; quarantined workers stay benched).
-      for (std::size_t v = 0; v < processors; ++v) {
-        if (idle[v] && !declared_dead[v] && v != w && !health.quarantined(v)) {
-          idle[v] = 0;
-          master_receive_request(v, 0);
-          break;
-        }
+  // An accepted report enrolled an audit: wake one idle eligible worker
+  // for the replica (the originator cannot audit itself; quarantined
+  // workers stay benched).
+  auto wake_auditor = [&](std::size_t w) {
+    for (std::size_t v = 0; v < processors; ++v) {
+      if (idle[v] && !declared_dead[v] && v != w && !health.quarantined(v)) {
+        idle[v] = 0;
+        master_receive_request(v, 0);
+        break;
       }
     }
   };
@@ -713,53 +542,20 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
   auto cancel_partner = [&](std::size_t v) {
     Outstanding& out = outstanding[v];
     out.active = false;
-    const double now = engine.now();
     if (out.lost) {
       // The losing copy was already stranded by its worker's crash: the
       // winner resolves the race, but the copy is accounted as LOST (as the
       // reclaim path would do), not cancelled — there is no report to
       // cancel, no cancel notice to deliver, and no request to solicit.
-      result.run.faults.chunks_lost += 1;
-      double wasted = std::min(messages.latency, std::max(0.0, now - out.dispatch_time));
-      const double stop = std::min(now, out.end_time);
-      if (out.start_time < stop) {
-        wasted += prepared.workers[v].availability->work_delivered(out.start_time, stop);
-      }
-      result.run.faults.wasted_work += wasted;
-      if (out.speculative) result.run.speculation.backups_lost += 1;
-      flight.record(obs::FlightEventKind::kChunkLost, now, static_cast<std::uint32_t>(v),
-                    out.range.first, out.range.count);
-      if (config.collect_trace) {
-        result.run.events.push_back(
-            {LifecycleEvent::Kind::kChunkLost, now, v, out.range.count});
-      }
+      core.charge_lost(v, out.range, out.speculative, out.dispatch_time, out.start_time,
+                       out.end_time);
       return;
     }
     if (hardened) cancelled_seq[v] = std::max(cancelled_seq[v], out.id);
     engine.cancel(out.report_event);
-    if (out.speculative) {
-      result.run.speculation.backups_cancelled += 1;
-    } else {
-      result.run.speculation.primaries_cancelled += 1;
-    }
-    double sunk = std::min(messages.latency, std::max(0.0, now - out.dispatch_time));
-    const double stop = std::min(now, out.end_time);
-    if (out.start_time < stop) {
-      sunk += prepared.workers[v].availability->work_delivered(out.start_time, stop);
-    }
-    result.run.speculation.cancelled_work += sunk;
-    flight.record(obs::FlightEventKind::kChunkCancelled, now,
-                  static_cast<std::uint32_t>(v), out.range.first, out.range.count);
-    if (config.collect_trace) {
-      result.run.events.push_back(
-          {LifecycleEvent::Kind::kChunkCancelled, now, v, out.range.count});
-      if (out.trace_index >= 0) {
-        ChunkTraceEntry& entry = result.run.trace[static_cast<std::size_t>(out.trace_index)];
-        entry.cancelled = true;
-        entry.end_time = std::min(now, entry.end_time);
-      }
-    }
-    const double receive = now + messages.latency;
+    core.charge_cancelled(v, out.range, out.speculative, out.dispatch_time, out.start_time,
+                          out.end_time, out.trace_index);
+    const double receive = engine.now() + messages.latency;
     if (!(prepared.workers[v].crash_time <= receive &&
           receive < prepared.workers[v].recovery_time)) {
       if (hardened) {
@@ -772,6 +568,32 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
         });
       }
     }
+  };
+
+  // Proof of life from a worker the master declared dead: reinstate it and
+  // double its timeout (see timeout_scale).
+  auto reinstate = [&](std::size_t w) {
+    declared_dead[w] = 0;
+    timeout_scale[w] *= 2.0;
+    core.emit(obs::FlightEventKind::kWorkerReinstated, LifecycleEvent::Kind::kWorkerReinstated,
+              w);
+  };
+
+  // Worker w's outstanding assignment reported first: accept it, resolve
+  // the speculation race, and serve the worker's next request.
+  auto accept_report = [&](std::size_t w, double dispatch_time, double start_time,
+                           double end_time) {
+    Outstanding& out = outstanding[w];
+    out.active = false;
+    if (core.complete(*technique, w, out.range, out.speculative, out.probe, dispatch_time,
+                      start_time, end_time, start_time - dispatch_time)) {
+      wake_auditor(w);
+    }
+    if (out.has_partner && outstanding[out.partner].active &&
+        outstanding[out.partner].id == out.partner_id) {
+      cancel_partner(out.partner);
+    }
+    master_receive_request(w, 0);
   };
 
   // Two-stage report chain for assignment `id` on worker w: computation
@@ -794,51 +616,16 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
                       // iterations were already re-dispatched, so the result
                       // is dropped — but the worker is clearly alive, so
                       // reinstate it.
-                      result.run.faults.wasted_work +=
+                      run.faults.wasted_work +=
                           prepared.workers[w].availability->work_delivered(start_time,
                                                                            end_time);
                       if (declared_dead[w]) {
-                        declared_dead[w] = 0;
-                        timeout_scale[w] *= 2.0;
-                        flight.record(obs::FlightEventKind::kWorkerReinstated, engine.now(),
-                                      static_cast<std::uint32_t>(w));
-                        if (config.collect_trace) {
-                          result.run.events.push_back(
-                              {LifecycleEvent::Kind::kWorkerReinstated, engine.now(), w, 0});
-                        }
+                        reinstate(w);
                         master_receive_request(w, 0);
                       }
                       return;
                     }
-                    out.active = false;
-                    WorkerStats& ws = result.run.workers[w];
-                    ws.chunks += 1;
-                    ws.iterations += out.range.count;
-                    ws.busy_time += out.end_time - out.start_time;
-                    ws.overhead_time += out.start_time - out.dispatch_time;
-                    ws.finish_time = out.end_time;
-                    result.run.total_chunks += 1;
-                    result.run.makespan = std::max(result.run.makespan, out.end_time);
-                    completed += out.range.count;
-                    flight.record(obs::FlightEventKind::kChunkAccepted, engine.now(),
-                                  static_cast<std::uint32_t>(w), out.range.first,
-                                  out.range.count);
-                    if (out.speculative) {
-                      result.run.speculation.backups_won += 1;
-                      flight.record(obs::FlightEventKind::kBackupWon, engine.now(),
-                                    static_cast<std::uint32_t>(w), out.range.first,
-                                    out.range.count);
-                    }
-                    technique->record(dls::ChunkResult{w, out.range.count,
-                                                       out.end_time - out.start_time,
-                                                       out.end_time - out.dispatch_time});
-                    observe_accepted(w, out.range, out.probe, out.dispatch_time,
-                                     out.end_time);
-                    if (out.has_partner && outstanding[out.partner].active &&
-                        outstanding[out.partner].id == out.partner_id) {
-                      cancel_partner(out.partner);
-                    }
-                    master_receive_request(w, 0);
+                    accept_report(w, out.dispatch_time, out.start_time, out.end_time);
                   });
               Outstanding& out = outstanding[w];
               if (out.active && out.id == id) out.report_event = second_stage;
@@ -858,13 +645,9 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
       if (id > report_acked_seq[w]) report_acked_seq[w] = id;
     });
     if (id <= processed_seq[w]) {
-      result.run.channel.dedup_hits += 1;
-      flight.record(obs::FlightEventKind::kDedupHit, engine.now(),
-                    static_cast<std::uint32_t>(w), static_cast<std::int64_t>(id));
-      if (config.collect_trace) {
-        result.run.events.push_back({LifecycleEvent::Kind::kDedupHit, engine.now(), w,
-                                     static_cast<std::int64_t>(id)});
-      }
+      run.channel.dedup_hits += 1;
+      core.emit(obs::FlightEventKind::kDedupHit, LifecycleEvent::Kind::kDedupHit, w,
+                static_cast<std::int64_t>(id));
       return;
     }
     processed_seq[w] = id;
@@ -872,50 +655,17 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
     if (!out.active || out.id != id) {
       // Late report from a reclaimed assignment (false suspicion or master
       // restart re-dispatch): the range was re-dispatched, drop the result.
-      result.run.faults.wasted_work +=
+      run.faults.wasted_work +=
           prepared.workers[w].availability->work_delivered(start_time, end_time);
-      if (declared_dead[w]) {
-        declared_dead[w] = 0;
-        timeout_scale[w] *= 2.0;
-        flight.record(obs::FlightEventKind::kWorkerReinstated, engine.now(),
-                      static_cast<std::uint32_t>(w));
-        if (config.collect_trace) {
-          result.run.events.push_back(
-              {LifecycleEvent::Kind::kWorkerReinstated, engine.now(), w, 0});
-        }
-      }
+      if (declared_dead[w]) reinstate(w);
       // The worker is alive and idle either way — bring it back into the
       // loop (a restart reclaim can orphan a live worker the same way a
       // false suspicion does).
       if (!outstanding[w].active) master_receive_request(w, 0);
       return;
     }
-    out.active = false;
-    WorkerStats& ws = result.run.workers[w];
-    ws.chunks += 1;
-    ws.iterations += out.range.count;
-    ws.busy_time += end_time - start_time;
-    ws.overhead_time += start_time - dispatch_time;
-    ws.finish_time = end_time;
-    result.run.total_chunks += 1;
-    result.run.makespan = std::max(result.run.makespan, end_time);
-    completed += out.range.count;
-    flight.record(obs::FlightEventKind::kChunkAccepted, engine.now(),
-                  static_cast<std::uint32_t>(w), out.range.first, out.range.count);
-    if (out.speculative) {
-      result.run.speculation.backups_won += 1;
-      flight.record(obs::FlightEventKind::kBackupWon, engine.now(),
-                    static_cast<std::uint32_t>(w), out.range.first, out.range.count);
-    }
-    technique->record(
-        dls::ChunkResult{w, out.range.count, end_time - start_time, end_time - dispatch_time});
     wal_append(WalRecord::Kind::kComplete, w, id, range.first, range.count);
-    observe_accepted(w, out.range, out.probe, dispatch_time, end_time);
-    if (out.has_partner && outstanding[out.partner].active &&
-        outstanding[out.partner].id == out.partner_id) {
-      cancel_partner(out.partner);
-    }
-    master_receive_request(w, 0);
+    accept_report(w, dispatch_time, start_time, end_time);
   };
 
   // Hardened protocol: the worker's report retransmits until the master's
@@ -944,22 +694,15 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
                  [&, w, id] { master_receive_ack(w, id); });
     if (id <= cancelled_seq[w]) return;  // cancelled before it arrived
     if (id <= executed_seq[w]) {
-      result.run.channel.dedup_hits += 1;
-      flight.record(obs::FlightEventKind::kDedupHit, now, static_cast<std::uint32_t>(w),
-                    static_cast<std::int64_t>(id));
-      if (config.collect_trace) {
-        result.run.events.push_back(
-            {LifecycleEvent::Kind::kDedupHit, now, w, static_cast<std::int64_t>(id)});
-      }
+      run.channel.dedup_hits += 1;
+      core.emit(obs::FlightEventKind::kDedupHit, LifecycleEvent::Kind::kDedupHit, w,
+                static_cast<std::int64_t>(id));
       return;
     }
     executed_seq[w] = id;
     const double start_time = now;
-    const double work = prepared.input_factor *
-                        detail::chunk_work(application, processor_type, prepared.mean_iter,
-                                           prepared.stddev_iter, config.iteration_cov,
-                                           range.first, range.count, *worker.rng);
-    const double end_time = worker.availability->finish_time(start_time, work);
+    const double end_time =
+        worker.availability->finish_time(start_time, core.draw_work(w, range));
     const bool lost = start_time < worker.recovery_time && end_time > worker.crash_time;
     Outstanding& out = outstanding[w];
     const bool tracked = out.active && out.id == id;
@@ -969,7 +712,7 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
       out.start_time = start_time;
       out.end_time = end_time;
       if (out.trace_index >= 0) {
-        ChunkTraceEntry& entry = result.run.trace[static_cast<std::size_t>(out.trace_index)];
+        ChunkTraceEntry& entry = run.trace[static_cast<std::size_t>(out.trace_index)];
         entry.start_time = start_time;
         entry.end_time = end_time;
         entry.lost = lost;
@@ -995,16 +738,10 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
                           std::uint64_t rseq, bool speculative, std::size_t partner,
                           std::uint64_t partner_id, bool probe) -> std::uint64_t {
     const double dispatch_time = engine.now();
-    const std::uint64_t id = ++next_id[w];
-    Outstanding out;
-    out.active = true;
-    out.lost = false;
+    // Start and end are provisional until the delivery lands.
+    Outstanding& out = track(w, range, dispatch_time, dispatch_time, dispatch_time, false);
+    const std::uint64_t id = out.id;
     out.delivered = false;
-    out.range = range;
-    out.dispatch_time = dispatch_time;
-    out.start_time = dispatch_time;  // provisional until the delivery lands
-    out.end_time = dispatch_time;
-    out.id = id;
     out.speculative = speculative;
     out.probe = probe;
     if (speculative) {
@@ -1012,20 +749,15 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
       out.partner = partner;
       out.partner_id = partner_id;
     }
-    if (config.collect_trace) {
-      out.trace_index = static_cast<std::ptrdiff_t>(result.run.trace.size());
-      result.run.trace.push_back({w, range.count, dispatch_time, dispatch_time, dispatch_time,
-                                  false, range.first, speculative, false, false, false,
-                                  probe});
-      if (speculative) {
-        result.run.events.push_back(
-            {LifecycleEvent::Kind::kChunkBackup, dispatch_time, w, range.count});
-      }
+    out.trace_index = core.trace({w, range.count, dispatch_time, dispatch_time, dispatch_time,
+                                  false, range.first, speculative, false, false, false, probe});
+    if (speculative) {
+      core.emit(obs::FlightEventKind::kBackupLaunched, LifecycleEvent::Kind::kChunkBackup, w,
+                range);
+    } else {
+      flight.record(obs::FlightEventKind::kChunkDispatched, dispatch_time,
+                    static_cast<std::uint32_t>(w), range.first, range.count);
     }
-    outstanding[w] = out;
-    flight.record(speculative ? obs::FlightEventKind::kBackupLaunched
-                              : obs::FlightEventKind::kChunkDispatched,
-                  dispatch_time, static_cast<std::uint32_t>(w), range.first, range.count);
     wal_append(WalRecord::Kind::kAssign, w, id, range.first, range.count);
     CDSF_LOG_TRACE << "mpi worker " << w
                    << (speculative ? " backup " : probe ? " canary " : " chunk ")
@@ -1046,7 +778,7 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
              [&, w, id] {
                if (config.collect_trace && outstanding[w].active &&
                    outstanding[w].id == id && outstanding[w].trace_index >= 0) {
-                 result.run.trace[static_cast<std::size_t>(outstanding[w].trace_index)]
+                 run.trace[static_cast<std::size_t>(outstanding[w].trace_index)]
                      .retransmitted = true;
                }
              },
@@ -1067,51 +799,28 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
       primary.has_partner = true;
       primary.partner = v;
       primary.partner_id = backup_id;
-      result.run.speculation.backups_launched += 1;
+      run.speculation.backups_launched += 1;
       return;
     }
-    const double dispatch_time = engine.now();
-    const double start_time = dispatch_time + messages.latency;
-    const double work = prepared.input_factor *
-                        detail::chunk_work(application, processor_type, prepared.mean_iter,
-                                           prepared.stddev_iter, config.iteration_cov,
-                                           range.first, range.count,
-                                           *prepared.workers[v].rng);
-    const double end_time = prepared.workers[v].availability->finish_time(start_time, work);
-    const bool lost = start_time < prepared.workers[v].recovery_time &&
-                      end_time > prepared.workers[v].crash_time;
-    const std::uint64_t backup_id = ++next_id[v];
-    Outstanding out;
-    out.active = true;
-    out.lost = lost;
-    out.range = range;
-    out.dispatch_time = dispatch_time;
-    out.start_time = start_time;
-    out.end_time = end_time;
-    out.id = backup_id;
+    const Timing t = time_assignment(v, range);
+    Outstanding& out = track(v, range, t.dispatch_time, t.start_time, t.end_time, t.lost);
+    const std::uint64_t backup_id = out.id;
     out.speculative = true;
     out.has_partner = true;
     out.partner = w;
     out.partner_id = id;
-    if (config.collect_trace) {
-      out.trace_index = static_cast<std::ptrdiff_t>(result.run.trace.size());
-      result.run.trace.push_back(
-          {v, range.count, dispatch_time, start_time, end_time, lost, range.first, true,
-           false});
-      result.run.events.push_back(
-          {LifecycleEvent::Kind::kChunkBackup, dispatch_time, v, range.count});
-    }
-    outstanding[v] = out;
+    out.trace_index = core.trace({v, range.count, t.dispatch_time, t.start_time, t.end_time,
+                                  t.lost, range.first, true, false});
     primary.has_partner = true;
     primary.partner = v;
     primary.partner_id = backup_id;
-    result.run.speculation.backups_launched += 1;
-    flight.record(obs::FlightEventKind::kBackupLaunched, dispatch_time,
-                  static_cast<std::uint32_t>(v), range.first, range.count);
+    run.speculation.backups_launched += 1;
+    core.emit(obs::FlightEventKind::kBackupLaunched, LifecycleEvent::Kind::kChunkBackup, v,
+              range);
     CDSF_LOG_TRACE << "mpi worker " << v << " backup " << range.count << " ["
-                   << dispatch_time << ", " << end_time << "]" << (lost ? " LOST" : "");
-    arm_detection(v, backup_id, range.count, dispatch_time);
-    if (lost) return;  // the worker dies mid-backup: no report, ever
+                   << t.dispatch_time << ", " << t.end_time << "]" << (t.lost ? " LOST" : "");
+    arm_detection(v, backup_id, range.count, t.dispatch_time);
+    if (t.lost) return;  // the worker dies mid-backup: no report, ever
     schedule_report(v, backup_id);
   };
 
@@ -1124,24 +833,21 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
                             double start_time) {
     double mu_it = technique->estimated_iteration_time(w);
     if (!(mu_it > 0.0)) {
-      mu_it = prepared.input_factor * prepared.mean_iter /
+      mu_it = prepared.input_factor * prepared.mean_iter[w] /
               std::max(prepared.params.weights[w], 0.05);
     }
     const double n = static_cast<double>(count);
     const double threshold =
         std::max(config.speculation.min_elapsed,
                  mu_it * n +
-                     quantile * prepared.input_factor * prepared.stddev_iter * std::sqrt(n));
+                     config.speculation.quantile * prepared.input_factor *
+                         prepared.stddev_iter[w] * std::sqrt(n));
     engine.schedule_at(start_time + threshold + messages.latency, [&, w, id] {
       Outstanding& out = outstanding[w];
       if (!out.active || out.id != id || out.has_partner) return;
-      result.run.speculation.stragglers_flagged += 1;
-      flight.record(obs::FlightEventKind::kStragglerFlagged, engine.now(),
-                    static_cast<std::uint32_t>(w), out.range.first, out.range.count);
-      if (config.collect_trace) {
-        result.run.events.push_back(
-            {LifecycleEvent::Kind::kChunkStraggler, engine.now(), w, out.range.count});
-      }
+      run.speculation.stragglers_flagged += 1;
+      core.emit(obs::FlightEventKind::kStragglerFlagged, LifecycleEvent::Kind::kChunkStraggler,
+                w, out.range);
       for (std::size_t v = 0; v < processors; ++v) {
         if (idle[v] && !declared_dead[v] &&
             !(quarantine_armed && health.quarantined(v))) {
@@ -1180,14 +886,7 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
       // and escalate its timeout like the late-report path does; without
       // this, every wrongful death permanently removes a live worker and
       // enough of them strand the run.
-      declared_dead[w] = 0;
-      timeout_scale[w] *= 2.0;
-      flight.record(obs::FlightEventKind::kWorkerReinstated, engine.now(),
-                    static_cast<std::uint32_t>(w));
-      if (config.collect_trace) {
-        result.run.events.push_back(
-            {LifecycleEvent::Kind::kWorkerReinstated, engine.now(), w, 0});
-      }
+      reinstate(w);
     }
     Outstanding& out = outstanding[w];
     if (out.active && rejoin &&
@@ -1201,29 +900,21 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
     if (service_pending[w]) {
       // The previous copy of this request is already queued for service;
       // the assignment it produces will answer this sequence too.
-      result.run.channel.dedup_hits += 1;
-      flight.record(obs::FlightEventKind::kDedupHit, engine.now(),
-                    static_cast<std::uint32_t>(w), static_cast<std::int64_t>(rseq));
-      if (config.collect_trace) {
-        result.run.events.push_back({LifecycleEvent::Kind::kDedupHit, engine.now(), w,
-                                     static_cast<std::int64_t>(rseq)});
-      }
+      run.channel.dedup_hits += 1;
+      core.emit(obs::FlightEventKind::kDedupHit, LifecycleEvent::Kind::kDedupHit, w,
+                static_cast<std::int64_t>(rseq));
       return;
     }
     if (out.active) {
       // Duplicate or retransmitted request while an assignment is in
       // flight: the worker clearly missed the reply — resend it instead of
       // double-assigning.
-      result.run.channel.dedup_hits += 1;
-      result.run.channel.retransmits += 1;
-      flight.record(obs::FlightEventKind::kRetransmit, engine.now(),
-                    static_cast<std::uint32_t>(w), static_cast<std::int64_t>(out.id));
-      if (config.collect_trace) {
-        result.run.events.push_back({LifecycleEvent::Kind::kRetransmit, engine.now(), w,
-                                     static_cast<std::int64_t>(out.id)});
-        if (out.trace_index >= 0) {
-          result.run.trace[static_cast<std::size_t>(out.trace_index)].retransmitted = true;
-        }
+      run.channel.dedup_hits += 1;
+      run.channel.retransmits += 1;
+      core.emit(obs::FlightEventKind::kRetransmit, LifecycleEvent::Kind::kRetransmit, w,
+                static_cast<std::int64_t>(out.id));
+      if (out.trace_index >= 0) {
+        run.trace[static_cast<std::size_t>(out.trace_index)].retransmitted = true;
       }
       const std::uint64_t id = out.id;
       const detail::IterationPool::Range range = out.range;
@@ -1236,7 +927,7 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
     }
     if (idle[w]) {
       // Benched worker re-requesting: the bench notice was lost — resend.
-      result.run.channel.dedup_hits += 1;
+      run.channel.dedup_hits += 1;
       flight.record(obs::FlightEventKind::kDedupHit, engine.now(),
                     static_cast<std::uint32_t>(w), static_cast<std::int64_t>(rseq));
       send_bench(w, rseq);
@@ -1264,17 +955,16 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
     const double arrival = engine.now();
     const double service_start = std::max(arrival, master_free_at);
     const double wait = service_start - arrival;
-    result.master.queue_wait_time += wait;
-    result.master.max_queue_wait = std::max(result.master.max_queue_wait, wait);
+    master_stats.queue_wait_time += wait;
+    master_stats.max_queue_wait = std::max(master_stats.max_queue_wait, wait);
     master_free_at = service_start + messages.master_service_time;
-    result.master.requests_handled += 1;
-    result.master.busy_time += messages.master_service_time;
+    master_stats.requests_handled += 1;
+    master_stats.busy_time += messages.master_service_time;
     if (hardened) service_pending[w] = 1;
 
     engine.schedule_at(master_free_at, [&, w, rseq] {
       service_pending[w] = 0;
       if (master_down) return;  // the master died mid-service
-      WorkerStats& stats = result.run.workers[w];
       if (declared_dead[w]) return;
       const bool probe = quarantine_armed && probe_pending[w] != 0;
       if (probe) probe_pending[w] = 0;
@@ -1284,10 +974,10 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
         // worker's request retries. Deliberately NOT marked idle[], so the
         // wake / straggler-host / audit scans skip this worker.
         if (hardened && rseq > 0) send_bench(w, rseq);
-        stats.finish_time = std::max(stats.finish_time, engine.now());
+        core.note_idle(w);
         return;
       }
-      if (quarantine_armed && auditing[w] != 0) {
+      if (quarantine_armed && core.auditing[w] != 0) {
         // Mid-audit duplicate service (e.g. the worker's request retry —
         // an audit sends it no reply): the worker is busy with the replica.
         // Bench the retry so its request loop resolves; the verdict
@@ -1296,74 +986,31 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
         if (hardened && rseq > 0) send_bench(w, rseq);
         return;
       }
-      const std::int64_t pending = pool.pending();
-      if (pending <= 0) {
+      if (pool.pending() <= 0) {
         if (probe) return;  // nothing left to probe with; keep waiting
-        // Fresh work always outranks speculation, so backups only launch
-        // when the pool is empty.
-        if (speculate) {
-          while (!stragglers.empty()) {
-            const auto [pw, pid] = stragglers.front();
-            const Outstanding& pout = outstanding[pw];
-            if (!pout.active || pout.id != pid || pout.has_partner) {
-              stragglers.pop_front();  // stale: the report won the race
-              continue;
-            }
-            stragglers.pop_front();
-            launch_backup(w, pw, pid, rseq);
-            return;
-          }
-        }
-        // Audits run last of all (pure validation, never ahead of real
-        // work); a worker never audits itself.
-        if (quarantine_armed && !audits_waiting.empty()) {
-          for (auto it = audits_waiting.begin(); it != audits_waiting.end(); ++it) {
-            if (it->origin == w) continue;
-            const AuditJob job = *it;
-            audits_waiting.erase(it);
-            launch_audit(w, job);
-            return;
-          }
+        const auto stale = [&](const std::pair<std::size_t, std::uint64_t>& straggler) {
+          const Outstanding& pout = outstanding[straggler.first];
+          return !pout.active || pout.id != straggler.second || pout.has_partner;
+        };
+        if (core.offer_spare_work(
+                w, stragglers, stale,
+                [&](const std::pair<std::size_t, std::uint64_t>& straggler) {
+                  launch_backup(w, straggler.first, straggler.second, rseq);
+                },
+                [&](const detail::AuditJob& job) { launch_audit(w, job); })) {
+          return;
         }
         // Managed mode: stay wakeable — a reclaim may refill the pool.
         if (managed) idle[w] = 1;
         if (hardened && rseq > 0) send_bench(w, rseq);
-        stats.finish_time = std::max(stats.finish_time, engine.now());
+        core.note_idle(w);
         return;
       }
-      const dls::SchedulingContext ctx{pending, w, engine.now()};
-      std::int64_t chunk = technique->next_chunk(ctx);
-      if (chunk <= 0) {
-        if (probe) {
-          chunk = 1;  // plan spent; a single iteration still probes
-        } else if (!crash_mode && !hardened) {
-          stats.finish_time = std::max(stats.finish_time, engine.now());
-          return;
-        } else {
-          // Fault-tolerant fallback: the technique's plan is spent but
-          // reclaimed iterations are pending — drain them in equal shares.
-          std::size_t alive = 0;
-          for (std::size_t v = 0; v < processors; ++v) alive += declared_dead[v] ? 0u : 1u;
-          const auto alive64 = static_cast<std::int64_t>(alive);
-          chunk = (pending + alive64 - 1) / alive64;
-        }
-      }
-      const detail::IterationPool::Range range = pool.take(chunk);
+      const detail::IterationPool::Range range =
+          core.grant(*technique, w, probe, /*fallback=*/crash_mode || hardened, declared_dead);
       if (range.count <= 0) {
-        if (probe) return;  // nothing left to probe with; keep waiting
-        if (managed) idle[w] = 1;
-        if (hardened && rseq > 0) send_bench(w, rseq);
-        stats.finish_time = std::max(stats.finish_time, engine.now());
+        core.note_idle(w);
         return;
-      }
-      if (probe) {
-        health.stats.probes_launched += 1;
-        flight.record(obs::FlightEventKind::kCanaryProbe, engine.now(),
-                      static_cast<std::uint32_t>(w), range.first, range.count);
-        if (config.collect_trace) {
-          result.run.events.push_back(
-              {LifecycleEvent::Kind::kQuarantineProbe, engine.now(), w, range.count});
-        }
       }
 
       if (hardened) {
@@ -1371,54 +1018,33 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
         return;
       }
 
-      // Assignment message travels to the worker; computation starts on
-      // arrival (the scheduling_overhead of the abstract model is the
-      // message round trip here, so it is NOT charged again).
-      const double dispatch_time = engine.now();
-      const double start_time = dispatch_time + messages.latency;
-      const double work = prepared.input_factor *
-                          detail::chunk_work(application, processor_type, prepared.mean_iter,
-                                             prepared.stddev_iter, config.iteration_cov,
-                                             range.first, range.count,
-                                             *prepared.workers[w].rng);
-      const double end_time = prepared.workers[w].availability->finish_time(start_time, work);
-      // Physically stranded iff the worker's outage touches the chunk's
-      // lifetime: assigned before (or into) the outage and not finished by
-      // the crash. A permanent crash makes end_time +infinity, which also
-      // lands here.
-      const bool lost = start_time < prepared.workers[w].recovery_time &&
-                        end_time > prepared.workers[w].crash_time;
-
+      const Timing t = time_assignment(w, range);
       const std::ptrdiff_t trace_index =
-          config.collect_trace ? static_cast<std::ptrdiff_t>(result.run.trace.size()) : -1;
-      if (config.collect_trace) {
-        result.run.trace.push_back(
-            {w, range.count, dispatch_time, start_time, end_time, lost, range.first, false,
-             false, false, false, probe});
-      }
-      flight.record(obs::FlightEventKind::kChunkDispatched, dispatch_time,
+          core.trace({w, range.count, t.dispatch_time, t.start_time, t.end_time, t.lost,
+                      range.first, false, false, false, false, probe});
+      flight.record(obs::FlightEventKind::kChunkDispatched, t.dispatch_time,
                     static_cast<std::uint32_t>(w), range.first, range.count);
       CDSF_LOG_TRACE << "mpi worker " << w << (probe ? " canary " : " chunk ") << range.count
-                     << " [" << dispatch_time << ", " << end_time << "]"
-                     << (lost ? " LOST" : "");
+                     << " [" << t.dispatch_time << ", " << t.end_time << "]"
+                     << (t.lost ? " LOST" : "");
 
       if (!managed) {
         // Legacy protocol (bit-identical): account at dispatch, report
         // always arrives.
+        WorkerStats& stats = run.workers[w];
         stats.chunks += 1;
         stats.iterations += range.count;
-        stats.busy_time += end_time - start_time;
-        stats.overhead_time += start_time - dispatch_time;
-        result.run.total_chunks += 1;
-        engine.schedule_at(end_time, [&, w, range, start_time, dispatch_time, end_time] {
-          result.run.workers[w].finish_time = end_time;
-          result.run.makespan = std::max(result.run.makespan, end_time);
+        stats.busy_time += t.end_time - t.start_time;
+        stats.overhead_time += t.start_time - t.dispatch_time;
+        run.total_chunks += 1;
+        engine.schedule_at(t.end_time, [&, w, range, t] {
+          run.workers[w].finish_time = t.end_time;
+          run.makespan = std::max(run.makespan, t.end_time);
           // Completion report + next request reach the master one latency
           // later; the feedback is recorded when the master RECEIVES it.
-          engine.schedule_after(messages.latency, [&, w, range, start_time, dispatch_time,
-                                                   end_time] {
-            technique->record(dls::ChunkResult{w, range.count, end_time - start_time,
-                                               end_time - dispatch_time});
+          engine.schedule_after(messages.latency, [&, w, range, t] {
+            technique->record(dls::ChunkResult{w, range.count, t.end_time - t.start_time,
+                                               t.end_time - t.dispatch_time});
             flight.record(obs::FlightEventKind::kChunkAccepted, engine.now(),
                           static_cast<std::uint32_t>(w), range.first, range.count);
             master_receive_request(w, 0);
@@ -1431,22 +1057,13 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
       // completion reports, so lost, falsely-suspected (late-report), and
       // cancelled-loser chunks never pollute the worker stats or the
       // technique's adaptive weights.
-      const std::uint64_t id = ++next_id[w];
-      Outstanding out;
-      out.active = true;
-      out.lost = lost;
-      out.range = range;
-      out.dispatch_time = dispatch_time;
-      out.start_time = start_time;
-      out.end_time = end_time;
-      out.id = id;
+      Outstanding& out = track(w, range, t.dispatch_time, t.start_time, t.end_time, t.lost);
       out.probe = probe;
       out.trace_index = trace_index;
-      outstanding[w] = out;
-      arm_detection(w, id, range.count, dispatch_time);
-      if (speculate && !probe) arm_straggler_check(w, id, range.count, start_time);
-      if (lost) return;  // the worker dies mid-chunk: no report, ever
-      schedule_report(w, id);
+      arm_detection(w, out.id, range.count, t.dispatch_time);
+      if (speculate && !probe) arm_straggler_check(w, out.id, range.count, t.start_time);
+      if (t.lost) return;  // the worker dies mid-chunk: no report, ever
+      schedule_report(w, out.id);
     });
   };
 
@@ -1459,7 +1076,7 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
     const double now = engine.now();
     master_down = false;
     master_free_at = std::max(master_free_at, now);
-    result.run.checkpoint.master_restarts += 1;
+    run.checkpoint.master_restarts += 1;
     flight.record(obs::FlightEventKind::kMasterRestarted, now, obs::kFlightMasterTrack,
                   static_cast<std::int64_t>(master_epoch));
     // A restart before the loop kicked off (crash inside the serial phase)
@@ -1481,17 +1098,17 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
     // health/quarantine state itself is snapshot-durable and survives the
     // restart.
     for (std::size_t w = 0; w < processors; ++w) {
-      if (auditing[w]) {
-        auditing[w] = 0;
+      if (core.auditing[w]) {
+        core.auditing[w] = 0;
         health.stats.audits_abandoned += 1;
       }
     }
-    audits_waiting.clear();
+    core.audits_waiting.clear();
     std::fill(probe_pending.begin(), probe_pending.end(), 0);
     std::vector<std::uint64_t> last_assign(processors, 0);
     std::vector<std::uint64_t> last_ack(processors, 0);
     std::vector<std::uint64_t> last_complete(processors, 0);
-    for (const WalRecord& rec : result.run.wal) {
+    for (const WalRecord& rec : run.wal) {
       switch (rec.kind) {
         case WalRecord::Kind::kAssign:
           last_assign[rec.worker] = std::max(last_assign[rec.worker], rec.seq);
@@ -1501,7 +1118,7 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
           break;
         case WalRecord::Kind::kComplete:
           last_complete[rec.worker] = std::max(last_complete[rec.worker], rec.seq);
-          result.run.checkpoint.restart_completions_replayed += 1;
+          run.checkpoint.restart_completions_replayed += 1;
           break;
         case WalRecord::Kind::kSnapshot:
         case WalRecord::Kind::kRestart:
@@ -1522,7 +1139,7 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
         // Acked but incomplete: the worker is still computing; keep the
         // assignment outstanding and re-arm detection from the restart.
         if (out.active && out.id == seq) {
-          result.run.checkpoint.restart_chunks_preserved += 1;
+          run.checkpoint.restart_chunks_preserved += 1;
           out.probes = 0;
           arm_detection(w, seq, out.range.count, now);
         } else if (loop_open && !out.active) {
@@ -1534,7 +1151,7 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
         // ack was lost), the worker's eventual report hits the late-report
         // path: dropped, exactly-once preserved.
         if (out.active && out.id == seq) {
-          result.run.checkpoint.restart_ranges_redispatched += 1;
+          run.checkpoint.restart_ranges_redispatched += 1;
           reclaim_outstanding(w);
           // NOT idle: the worker may be computing the reclaimed chunk; its
           // late report (or its own request retry) re-enters it.
@@ -1545,7 +1162,7 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
     }
     wal_append(WalRecord::Kind::kRestart, 0, master_epoch, 0, 0);
     if (config.collect_trace) {
-      result.run.events.push_back({LifecycleEvent::Kind::kMasterRestart, now, 0, 0});
+      run.events.push_back({LifecycleEvent::Kind::kMasterRestart, now, 0, 0});
     }
     CDSF_LOG_TRACE << "mpi master restarted at " << now;
     if (loop_open) wake_idle();
@@ -1566,22 +1183,19 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
     }
     if (!master_down) {
       wal_append(WalRecord::Kind::kSnapshot, 0, master_epoch, 0, completed);
-      result.run.checkpoint.snapshots += 1;
-      flight.record(obs::FlightEventKind::kCheckpoint, engine.now(), obs::kFlightMasterTrack,
-                    static_cast<std::int64_t>(result.run.wal.size()), completed);
-      if (config.collect_trace) {
-        result.run.events.push_back({LifecycleEvent::Kind::kCheckpoint, engine.now(), 0,
-                                     static_cast<std::int64_t>(result.run.wal.size())});
-      }
+      run.checkpoint.snapshots += 1;
+      core.emit_master(obs::FlightEventKind::kCheckpoint, LifecycleEvent::Kind::kCheckpoint,
+                       static_cast<std::int64_t>(run.wal.size()), completed);
     }
     engine.schedule_after(config.checkpoint.interval, snapshot_tick);
   };
 
-  // Canary-probe timer (see loop_executor.cpp): every probe_interval, each
-  // quarantined live worker with nothing in flight gets one master-initiated
-  // service carrying real pool work, flagged as a probe. Self-terminating
-  // via the same stagnation guard as the snapshot tick so a stranded run
-  // can still drain its event queue.
+  // Canary-probe timer: every probe_interval, each quarantined live worker
+  // with nothing in flight gets one master-initiated service carrying real
+  // pool work, flagged as a probe. Self-terminating via the same
+  // stagnation guard as the snapshot tick (the master cannot see which
+  // workers are alive, so the idealized executor's rescuable check has no
+  // equivalent here) so a stranded run can still drain its event queue.
   std::int64_t probe_last_completed = -1;
   std::size_t probe_stagnant = 0;
   probe_tick = [&] {
@@ -1599,7 +1213,7 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
         if (worker.crash_time <= engine.now() && engine.now() < worker.recovery_time) {
           continue;  // physically down; the canary would be wasted
         }
-        if (outstanding[w].active || service_pending[w] != 0 || auditing[w] != 0 ||
+        if (outstanding[w].active || service_pending[w] != 0 || core.auditing[w] != 0 ||
             probe_pending[w] != 0) {
           continue;
         }
@@ -1653,12 +1267,7 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
       engine.schedule_at(master_fault->time, [&] {
         master_down = true;
         master_epoch += 1;  // every pending master-side timer is now stale
-        flight.record(obs::FlightEventKind::kMasterCrashed, engine.now(),
-                      obs::kFlightMasterTrack);
-        if (config.collect_trace) {
-          result.run.events.push_back(
-              {LifecycleEvent::Kind::kMasterCrash, engine.now(), 0, 0});
-        }
+        core.emit_master(obs::FlightEventKind::kMasterCrashed, LifecycleEvent::Kind::kMasterCrash);
         CDSF_LOG_TRACE << "mpi master crashed at " << engine.now();
       });
       engine.schedule_at(master_fault->recovery_time, [&] { master_restart(); });
@@ -1672,33 +1281,9 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
     engine.run();
   }
 
-  if (managed && completed < application.parallel_iterations()) {
-    const std::string detail =
-        std::to_string(application.parallel_iterations() - completed) +
-        " iterations stranded by crashes (fault detection disabled or no surviving "
-        "worker to re-dispatch to)";
-    // finalize_run never runs for a stranded run, so the postmortem dumps
-    // here, at the detection site.
-    obs::FlightSink::global().maybe_dump(flight.finish(),
-                                         obs::FlightAnomaly{"strand", detail, engine.now()});
-    throw std::runtime_error("simulate_loop_mpi: " + detail);
-  }
-
-  // Gray-failure epilogue (see loop_executor.cpp): in-flight replicas whose
-  // verdict never resolved are abandoned; queued jobs were never dispatched
-  // and are dropped uncounted. Open quarantine windows close at the end of
-  // simulated activity.
-  for (std::size_t v = 0; v < processors; ++v) {
-    if (auditing[v]) health.stats.audits_abandoned += 1;
-  }
-  audits_waiting.clear();
-  health.finish(std::max(result.run.makespan, engine.now()));
-  result.run.quarantine = health.stats;
-
-  for (WorkerStats& w : result.run.workers) {
-    if (w.finish_time == 0.0) w.finish_time = serial_end;
-  }
-  detail::finalize_run(result.run, config, flight);
+  core.check_stranded(managed, application.parallel_iterations() - completed,
+                      "(fault detection disabled or no surviving worker to re-dispatch to)");
+  MpiRunResult result{core.finish_run(serial_end), master_stats};
   if (checkpointing && !config.checkpoint.json_path.empty()) {
     write_checkpoint_json(config.checkpoint.json_path, result.run);
   }
@@ -1725,47 +1310,13 @@ ReplicationSummary simulate_replicated_mpi(const workload::Application& applicat
                                            const MessageModel& messages, std::uint64_t seed,
                                            std::size_t replications, double deadline,
                                            std::size_t threads) {
-  if (replications == 0) {
-    throw std::invalid_argument("simulate_replicated_mpi: replications must be >= 1");
-  }
-  SimConfig run_config = config;
-  // One checkpoint file per replicated batch makes no sense (the last
-  // writer would win, and threads would race on the path).
-  run_config.checkpoint.json_path.clear();
-  // The flight recorder's deadline-miss anomaly inherits the replication
-  // deadline unless the caller pinned one explicitly.
-  if (run_config.flight.deadline == 0.0 && deadline > 0.0 && std::isfinite(deadline)) {
-    run_config.flight.deadline = deadline;
-  }
-  const util::SeedSequence seeds(seed);
-  std::vector<double> samples(replications);
-  std::vector<FaultStats> faults(replications);
-  std::vector<SpeculationStats> speculation(replications);
-  std::vector<ChannelStats> channel(replications);
-  std::vector<CheckpointStats> checkpoint(replications);
-  std::vector<QuarantineStats> quarantine(replications);
-  util::parallel_for_index(replications, threads, [&](std::size_t r) {
-    // Monte-Carlo checkpoint boundary (see simulate_replicated).
-    util::throw_if_cancelled(run_config.cancel);
-    const MpiRunResult res =
-        simulate_loop_mpi(application, processor_type, processors, availability, technique,
-                          run_config, messages, seeds.child(r));
-    samples[r] = res.run.makespan;
-    faults[r] = res.run.faults;
-    speculation[r] = res.run.speculation;
-    channel[r] = res.run.channel;
-    checkpoint[r] = res.run.checkpoint;
-    quarantine[r] = res.run.quarantine;
-  });
-  ReplicationSummary summary;
-  // Summed in replication order — independent of the thread count.
-  for (const FaultStats& f : faults) accumulate_faults(summary.faults_total, f);
-  for (const SpeculationStats& s : speculation) summary.speculation_total.accumulate(s);
-  for (const ChannelStats& c : channel) summary.channel_total.accumulate(c);
-  for (const CheckpointStats& c : checkpoint) summary.checkpoint_total.accumulate(c);
-  for (const QuarantineStats& q : quarantine) summary.quarantine_total.accumulate(q);
-  detail::summarize_makespans(summary, std::move(samples), deadline);
-  return summary;
+  return detail::replicate(
+      "simulate_replicated_mpi", config, seed, replications, deadline, threads,
+      [&](const SimConfig& run_config, std::uint64_t child) {
+        return simulate_loop_mpi(application, processor_type, processors, availability,
+                                 technique, run_config, messages, child)
+            .run;
+      });
 }
 
 }  // namespace cdsf::sim

@@ -32,7 +32,8 @@
 // disarmed and the executor is bit-identical to the reliable protocol.
 //
 // GRAY failures — workers that are wrong rather than dead — are handled by
-// three cooperating layers (shared semantics with loop_executor.cpp):
+// three cooperating layers (the last two are the dispatch core's policy,
+// shared with simulate_loop):
 // payload corruption on the channel (ChannelModel::corrupt_*) is caught by
 // checksum framing at the receiver, counted in ChannelStats, and recovered
 // through the ack/retransmit loop, so a corrupted report can never reach
@@ -79,7 +80,8 @@ struct MpiRunResult {
 /// The master is a dedicated coordinator (it does not compute iterations);
 /// serial iterations still execute on worker 0 before the parallel loop.
 /// Throws like simulate_loop, plus std::invalid_argument for negative
-/// message costs.
+/// message costs and for SimConfig::deadline_risk (the deadline-risk
+/// monitor exists only in the idealized executors).
 [[nodiscard]] MpiRunResult simulate_loop_mpi(const workload::Application& application,
                                              std::size_t processor_type, std::size_t processors,
                                              const sysmodel::AvailabilitySpec& availability,

@@ -8,6 +8,8 @@
 
 #include "obs/metrics.hpp"
 #include "stats/summary.hpp"
+#include "util/cancel.hpp"
+#include "util/parallel.hpp"
 
 namespace cdsf::sim::detail {
 
@@ -258,7 +260,7 @@ namespace {
 std::unique_ptr<sysmodel::AvailabilityProcess> make_process(const pmf::Pmf& law,
                                                             const SimConfig& config,
                                                             util::RngStream& run_rng,
-                                                            std::uint64_t seed) {
+                                                            std::uint64_t seed, double phase) {
   switch (config.availability_mode) {
     case AvailabilityMode::kIidEpoch:
       return std::make_unique<sysmodel::IidEpochAvailability>(law, config.epoch_length, seed);
@@ -275,9 +277,6 @@ std::unique_ptr<sysmodel::AvailabilityProcess> make_process(const pmf::Pmf& law,
       // Clamp the amplitude so the cycle stays strictly inside (0, 1].
       const double amplitude =
           std::min({config.diurnal_amplitude, mean - 1e-6, 1.0 - mean});
-      // Per-worker phase from the seed: spreads the group around the cycle.
-      const double phase =
-          static_cast<double>(seed % 1024) / 1024.0 * config.diurnal_period;
       return std::make_unique<sysmodel::DiurnalAvailability>(
           mean, std::max(amplitude, 0.0), config.diurnal_period, phase);
     }
@@ -285,71 +284,9 @@ std::unique_ptr<sysmodel::AvailabilityProcess> make_process(const pmf::Pmf& law,
   throw std::logic_error("make_process: unknown availability mode");
 }
 
-}  // namespace
-
-PreparedRun prepare_run(const workload::Application& application, std::size_t processor_type,
-                        std::size_t processors,
-                        const sysmodel::AvailabilitySpec& availability, const SimConfig& config,
-                        std::uint64_t seed) {
-  if (processors == 0) throw std::invalid_argument("simulate_loop: processors must be >= 1");
-  if (processor_type >= availability.type_count() ||
-      processor_type >= application.type_count()) {
-    throw std::invalid_argument("simulate_loop: unknown processor type");
-  }
-  validate_config(config);
-
-  const util::SeedSequence seeds(seed);
-  PreparedRun run;
-  run.run_rng = seeds.stream(0);
-
-  // Per-run input-data factor (uncertainty in input data, Section III).
-  if (config.input_factor_cov > 0.0) {
-    run.input_factor = std::max(run.run_rng.normal(1.0, config.input_factor_cov), 0.1);
-  }
-
-  run.mean_iter = application.mean_iteration_time(processor_type);
-  run.stddev_iter = run.mean_iter * config.iteration_cov;
-  const pmf::Pmf& law = availability.of_type(processor_type);
-
-  run.workers.resize(processors);
-  for (std::size_t w = 0; w < processors; ++w) {
-    run.workers[w].rng = std::make_unique<util::RngStream>(seeds.child(100 + 2 * w));
-    // Shared-group mode reuses worker 0's seed (and, for kSampleOnce, a
-    // single run_rng draw) so every worker sees the same availability path.
-    const std::uint64_t avail_seed =
-        config.shared_group_availability ? seeds.child(101) : seeds.child(101 + 2 * w);
-    if (config.shared_group_availability && w > 0 &&
-        config.availability_mode == AvailabilityMode::kSampleOnce) {
-      run.workers[w].availability = std::make_unique<sysmodel::ConstantAvailability>(
-          run.workers[0].availability->availability_at(0.0));
-    } else {
-      run.workers[w].availability = make_process(law, config, run.run_rng, avail_seed);
-    }
-  }
-  validate_failures(config.failures, processors);
-  for (const SimConfig::Failure& failure : config.failures) {
-    apply_failure(run.workers[failure.worker], failure);
-  }
-
-  // Problem facts for the technique, including observed t=0 availabilities
-  // as WF/AWF weight seeds. For a worker that crashes at t = 0 the
-  // pre-crash value is used — the master seeds weights before it can know
-  // the worker is gone, and normalized_weights rejects a 0.
-  run.params.workers = processors;
-  run.params.total_iterations = std::max<std::int64_t>(1, application.parallel_iterations());
-  run.params.mean_iteration_time = run.mean_iter;
-  run.params.stddev_iteration_time = run.stddev_iter;
-  run.params.scheduling_overhead = config.scheduling_overhead;
-  run.params.weights.reserve(processors);
-  for (std::size_t w = 0; w < processors; ++w) {
-    const Worker& worker = run.workers[w];
-    run.params.weights.push_back(worker.crashes() && worker.crash_time <= 0.0
-                                     ? worker.weight_at_zero
-                                     : worker.availability->availability_at(0.0));
-  }
-  return run;
-}
-
+/// Fills the makespan-distribution fields of `summary` (mean / median /
+/// stddev / min / max / CIs / deadline hit rate) from per-replication
+/// samples.
 void summarize_makespans(ReplicationSummary& summary, std::vector<double> samples,
                          double deadline) {
   stats::OnlineSummary makespans;
@@ -369,6 +306,138 @@ void summarize_makespans(ReplicationSummary& summary, std::vector<double> sample
       stats::mean_interval(summary.mean_makespan, summary.stddev_makespan, samples.size());
   summary.hit_rate_ci = stats::wilson_interval(hits, samples.size());
   summary.median_makespan = stats::percentile(std::move(samples), 0.5);
+}
+
+}  // namespace
+
+PreparedRun prepare_run(const workload::Application& application,
+                        std::vector<std::size_t> worker_types,
+                        const sysmodel::AvailabilitySpec& availability, const SimConfig& config,
+                        std::uint64_t seed, bool mixed) {
+  if (worker_types.empty()) {
+    throw std::invalid_argument("simulate_loop: processors must be >= 1");
+  }
+  for (const std::size_t type : worker_types) {
+    if (type >= availability.type_count() || type >= application.type_count()) {
+      throw std::invalid_argument("simulate_loop: unknown processor type");
+    }
+  }
+  validate_config(config);
+
+  const std::size_t processors = worker_types.size();
+  const util::SeedSequence seeds(seed);
+  PreparedRun run;
+  run.run_rng = seeds.stream(0);
+
+  // Per-run input-data factor (uncertainty in input data, Section III).
+  if (config.input_factor_cov > 0.0) {
+    run.input_factor = std::max(run.run_rng.normal(1.0, config.input_factor_cov), 0.1);
+  }
+
+  run.mean_iter.resize(processors);
+  run.stddev_iter.resize(processors);
+  run.workers.resize(processors);
+  for (std::size_t w = 0; w < processors; ++w) {
+    const std::size_t type = worker_types[w];
+    run.mean_iter[w] = application.mean_iteration_time(type);
+    run.stddev_iter[w] = run.mean_iter[w] * config.iteration_cov;
+    run.workers[w].rng = std::make_unique<util::RngStream>(seeds.child(100 + 2 * w));
+    // Shared-group mode reuses worker 0's seed (and, for kSampleOnce, a
+    // single run_rng draw) so every worker sees the same availability path.
+    const std::uint64_t avail_seed =
+        config.shared_group_availability ? seeds.child(101) : seeds.child(101 + 2 * w);
+    if (config.shared_group_availability && w > 0 &&
+        config.availability_mode == AvailabilityMode::kSampleOnce) {
+      run.workers[w].availability = std::make_unique<sysmodel::ConstantAvailability>(
+          run.workers[0].availability->availability_at(0.0));
+      continue;
+    }
+    // Diurnal phase: a mixed group spreads evenly around the cycle; a
+    // homogeneous group draws it from the worker's availability seed.
+    const double phase =
+        (mixed ? static_cast<double>(w) / static_cast<double>(processors)
+               : static_cast<double>(avail_seed % 1024) / 1024.0) *
+        config.diurnal_period;
+    run.workers[w].availability =
+        make_process(availability.of_type(type), config, run.run_rng, avail_seed, phase);
+  }
+  validate_failures(config.failures, processors);
+  for (const SimConfig::Failure& failure : config.failures) {
+    apply_failure(run.workers[failure.worker], failure);
+  }
+
+  // Problem facts for the technique, including observed t=0 availabilities
+  // as WF/AWF weight seeds. For a worker that crashes at t = 0 the
+  // pre-crash value is used — the master seeds weights before it can know
+  // the worker is gone, and normalized_weights rejects a 0. A mixed group's
+  // weights are combined speed x availability: the rate of worker w
+  // relative to the group's mean iteration time.
+  run.params.workers = processors;
+  run.params.total_iterations = std::max<std::int64_t>(1, application.parallel_iterations());
+  if (mixed) {
+    double mean_iter_sum = 0.0;
+    for (const double m : run.mean_iter) mean_iter_sum += m;
+    run.params.mean_iteration_time = mean_iter_sum / static_cast<double>(processors);
+    run.params.stddev_iteration_time = run.params.mean_iteration_time * config.iteration_cov;
+  } else {
+    run.params.mean_iteration_time = run.mean_iter[0];
+    run.params.stddev_iteration_time = run.stddev_iter[0];
+  }
+  run.params.scheduling_overhead = config.scheduling_overhead;
+  run.params.weights.reserve(processors);
+  for (std::size_t w = 0; w < processors; ++w) {
+    const Worker& worker = run.workers[w];
+    const double avail0 = worker.crashes() && worker.crash_time <= 0.0
+                              ? worker.weight_at_zero
+                              : worker.availability->availability_at(0.0);
+    run.params.weights.push_back(
+        mixed ? avail0 / run.mean_iter[w] * run.params.mean_iteration_time : avail0);
+  }
+  run.types = std::move(worker_types);
+  return run;
+}
+
+ReplicationSummary replicate(const char* who, const SimConfig& config, std::uint64_t seed,
+                             std::size_t replications, double deadline, std::size_t threads,
+                             const ReplicaRun& run) {
+  if (replications == 0) {
+    throw std::invalid_argument(std::string(who) + ": replications must be >= 1");
+  }
+  SimConfig run_config = config;
+  run_config.checkpoint.json_path.clear();
+  if (run_config.flight.deadline == 0.0 && deadline > 0.0 && std::isfinite(deadline)) {
+    run_config.flight.deadline = deadline;
+  }
+  const util::SeedSequence seeds(seed);
+  struct Totals {
+    FaultStats faults;
+    SpeculationStats speculation;
+    QuarantineStats quarantine;
+    ChannelStats channel;
+    CheckpointStats checkpoint;
+  };
+  std::vector<double> samples(replications);
+  std::vector<Totals> totals(replications);
+  util::parallel_for_index(replications, threads, [&](std::size_t r) {
+    // Monte-Carlo checkpoint boundary: a cancelled token aborts the sweep
+    // within one replication (the exception propagates out of
+    // parallel_for_index after all threads join).
+    util::throw_if_cancelled(run_config.cancel);
+    const RunResult result = run(run_config, seeds.child(r));
+    samples[r] = result.makespan;
+    totals[r] = {result.faults, result.speculation, result.quarantine, result.channel,
+                 result.checkpoint};
+  });
+  ReplicationSummary summary;
+  for (const Totals& t : totals) {
+    summary.faults_total.accumulate(t.faults);
+    summary.speculation_total.accumulate(t.speculation);
+    summary.quarantine_total.accumulate(t.quarantine);
+    summary.channel_total.accumulate(t.channel);
+    summary.checkpoint_total.accumulate(t.checkpoint);
+  }
+  summarize_makespans(summary, std::move(samples), deadline);
+  return summary;
 }
 
 void finalize_run(RunResult& result, const SimConfig& config,

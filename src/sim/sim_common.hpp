@@ -1,11 +1,12 @@
 // Internal helpers shared by the loop executors (the idealized one in
-// loop_executor.cpp and the message-passing one in master_worker.cpp).
-// Not part of the public API.
+// loop_executor.cpp and the message-passing one in master_worker.cpp; their
+// shared dispatch policy is dispatch_core.hpp). Not part of the public API.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -50,11 +51,20 @@ void validate_failures(const std::vector<SimConfig::Failure>& failures,
 [[nodiscard]] const SimConfig::Failure* silent_corrupt_failure(const SimConfig& config,
                                                                std::size_t worker);
 
-/// Fills the makespan-distribution fields of `summary` (mean / median /
-/// stddev / min / max / CIs / deadline hit rate) from per-replication
-/// samples. Shared by simulate_replicated and simulate_replicated_mpi.
-void summarize_makespans(ReplicationSummary& summary, std::vector<double> samples,
-                         double deadline);
+/// One replication: the executor under `config` with a child seed.
+using ReplicaRun = std::function<RunResult(const SimConfig& config, std::uint64_t seed)>;
+
+/// The replication driver of simulate_replicated and
+/// simulate_replicated_mpi. Each replication derives all randomness from
+/// its own child seed and totals are summed in replication order, so the
+/// summary is bit-identical for any thread count. Replications drop the
+/// checkpoint JSON path (threads would race on one file) and take the
+/// deadline as the flight deadline-miss trigger unless one is pinned.
+/// Throws std::invalid_argument (`who`) for zero replications.
+[[nodiscard]] ReplicationSummary replicate(const char* who, const SimConfig& config,
+                                           std::uint64_t seed, std::size_t replications,
+                                           double deadline, std::size_t threads,
+                                           const ReplicaRun& run);
 
 struct Worker;
 
@@ -123,8 +133,6 @@ class IterationPool {
     return p;
   }
 
-  [[nodiscard]] bool empty() const noexcept { return next_ >= total_ && returned_.empty(); }
-
   /// Hands out up to `max_count` iterations as one contiguous range
   /// (count == 0 when the pool is empty or max_count <= 0).
   [[nodiscard]] Range take(std::int64_t max_count) {
@@ -154,12 +162,12 @@ class IterationPool {
   std::deque<Range> returned_;
 };
 
-/// Fail-slow health tracking + quarantine state machine shared by both
-/// executors. Pure bookkeeping with NO randomness: every decision derives
-/// from observations the caller feeds in deterministic event order, so
-/// the tracker never perturbs the executors' RNG streams. The executors
-/// own dispatch policy (benching quarantined workers, firing canary
-/// probes); the tracker owns the thresholds, streaks, and counters.
+/// Fail-slow health tracking + quarantine state machine of the dispatch
+/// core. Pure bookkeeping with NO randomness: every decision derives from
+/// observations the caller feeds in deterministic event order, so the
+/// tracker never perturbs the executors' RNG streams. The core and the
+/// transports own dispatch policy (benching quarantined workers, firing
+/// canary probes); the tracker owns the thresholds, streaks, and counters.
 ///
 /// State machine per worker:
 ///   Healthy --(EWMA slowdown > threshold after min_observations,
@@ -250,13 +258,6 @@ class HealthTracker {
     return state_[worker].quarantined;
   }
 
-  [[nodiscard]] bool any_quarantined() const {
-    for (const State& s : state_) {
-      if (s.quarantined) return true;
-    }
-    return false;
-  }
-
   /// Closes still-open quarantine windows into quarantined_time.
   void finish(double now) {
     for (State& s : state_) {
@@ -281,24 +282,30 @@ class HealthTracker {
 };
 
 /// Everything both executors need set up identically: validated inputs,
-/// per-run input factor, per-worker availability processes and noise
-/// streams (failure decorators applied), and executor-populated
-/// TechniqueParams (weights = availabilities observed at t = 0).
+/// per-run input factor, per-worker types, iteration statistics,
+/// availability processes and noise streams (failure decorators applied),
+/// and executor-populated TechniqueParams (weights = availabilities
+/// observed at t = 0).
 struct PreparedRun {
   double input_factor = 1.0;
-  double mean_iter = 0.0;
-  double stddev_iter = 0.0;
+  std::vector<std::size_t> types;
+  std::vector<double> mean_iter;
+  std::vector<double> stddev_iter;
   std::vector<Worker> workers;
   dls::TechniqueParams params;
   util::RngStream run_rng{0};
 };
 
-/// Builds the shared state. Throws std::invalid_argument for zero
-/// processors, unknown processor types, or invalid config.
+/// Builds the shared state for workers of the given types. A `mixed` group
+/// (simulate_loop_mixed) spreads diurnal phases evenly over the group and
+/// weights workers by speed x availability; a homogeneous group takes each
+/// diurnal phase from the availability seed and weights = availabilities.
+/// Throws std::invalid_argument for zero workers, unknown processor types,
+/// or invalid config.
 [[nodiscard]] PreparedRun prepare_run(const workload::Application& application,
-                                      std::size_t processor_type, std::size_t processors,
+                                      std::vector<std::size_t> worker_types,
                                       const sysmodel::AvailabilitySpec& availability,
-                                      const SimConfig& config, std::uint64_t seed);
+                                      const SimConfig& config, std::uint64_t seed, bool mixed);
 
 /// Shared run epilogue: sorts the lifecycle events by time, merges the
 /// flight recorder into RunResult::flight, dumps a postmortem through

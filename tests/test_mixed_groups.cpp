@@ -114,6 +114,12 @@ TEST(MixedGroups, Validation) {
   bad.failures.push_back({9, 1.0, 0.5});
   EXPECT_THROW(simulate_loop_mixed(app, {0, 1}, full2(), dls::TechniqueId::kSS, bad, 1),
                std::invalid_argument);
+  // One shared availability path is undefined when workers draw from
+  // different per-type laws.
+  SimConfig shared = dedicated();
+  shared.shared_group_availability = true;
+  EXPECT_THROW(simulate_loop_mixed(app, {0, 1}, full2(), dls::TechniqueId::kSS, shared, 1),
+               std::invalid_argument);
 }
 
 }  // namespace

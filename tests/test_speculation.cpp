@@ -215,6 +215,22 @@ TEST(Speculation, DeadlineRiskWithoutSpeculationIsRejected) {
                std::invalid_argument);
 }
 
+TEST(Speculation, MpiRejectsDeadlineRisk) {
+  // The deadline-risk monitor exists only in the idealized executors; the
+  // message-passing executor refuses it instead of silently ignoring it.
+  sim::SimConfig config;
+  config.speculation.enabled = true;
+  config.deadline_risk.enabled = true;
+  config.deadline_risk.deadline = 100.0;
+  EXPECT_THROW(sim::simulate_loop_mpi(steady_app(), 0, 4, test::full_availability(1),
+                                      dls::TechniqueId::kFAC, config, sim::MessageModel{}, 1),
+               std::invalid_argument);
+  EXPECT_THROW(sim::simulate_replicated_mpi(steady_app(), 0, 4, test::full_availability(1),
+                                            dls::TechniqueId::kFAC, config, sim::MessageModel{},
+                                            1, 2, 1e18),
+               std::invalid_argument);
+}
+
 TEST(Speculation, KnobsOutOfDomainAreRejected) {
   const workload::Application app = steady_app();
   const sysmodel::AvailabilitySpec full = test::full_availability(1);
