@@ -347,6 +347,32 @@ TEST(ExecutorGolden, MpiQuarantineWithAuditsAndCorruptingChannel) {
   expect_digest(mpi_bytes(result), 0x7c3b45b1b1cc490fULL);
 }
 
+// AF goldens: the adaptive-factoring chunk solver drives every dispatch
+// below, so these pin its chunk sequence through each executor.
+
+TEST(ExecutorGolden, IdealCleanAf) {
+  const GoldenScratch scratch("ideal_af");
+  const sim::RunResult run = ideal(golden_config(), dls::TechniqueId::kAF);
+  // More chunks than workers: requests after the first completions went
+  // through the measured-state solver, not only the bootstrap share.
+  EXPECT_GT(run.trace.size(), 4u * 4u);
+  expect_digest(run_bytes(run), 0x85e2d52cb58f901fULL);
+}
+
+TEST(ExecutorGolden, MpiCleanAf) {
+  const GoldenScratch scratch("mpi_af");
+  expect_digest(mpi_bytes(mpi(golden_config(), dls::TechniqueId::kAF)), 0x4726f3880bff6a6fULL);
+}
+
+TEST(ExecutorGolden, MixedGroupAf) {
+  const GoldenScratch scratch("mixed_af");
+  expect_digest(run_bytes(sim::simulate_loop_mixed(golden_app(), {0, 0, 1, 1},
+                                                   golden_availability(),
+                                                   dls::TechniqueId::kAF, golden_config(),
+                                                   kSeed)),
+                0x5c087f3d9e260639ULL);
+}
+
 sim::SimConfig replicated_config() {
   sim::SimConfig config;
   config.failures.push_back(failure(1, 900.0, Kind::kCrashRecover, 1300.0));
@@ -364,6 +390,15 @@ TEST(ExecutorGolden, ReplicatedSummaryAtOneAndFourThreads) {
         golden_app(), 0, 4, golden_availability(), dls::TechniqueId::kAWF_B,
         replicated_config(), kSeed, 8, kGoldenDeadline, threads);
     expect_digest(obs::to_json(summary, kGoldenDeadline).dump(1), 0x4468c5f8f45ac291ULL);
+  }
+}
+
+TEST(ExecutorGolden, ReplicatedAfSummaryAtOneAndFourThreads) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const sim::ReplicationSummary summary = sim::simulate_replicated(
+        golden_app(), 0, 4, golden_availability(), dls::TechniqueId::kAF,
+        replicated_config(), kSeed, 8, kGoldenDeadline, threads);
+    expect_digest(obs::to_json(summary, kGoldenDeadline).dump(1), 0x09f623f12f259917ULL);
   }
 }
 
