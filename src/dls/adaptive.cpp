@@ -139,13 +139,23 @@ AdaptiveFactoring::AdaptiveFactoring(const TechniqueParams& params)
   validate_params(params);
 }
 
+AdaptiveFactoring::Estimate AdaptiveFactoring::Estimate::of(double mu, double sigma) {
+  const double two_mu = 2.0 * mu;
+  return Estimate{sigma, sigma * sigma, two_mu, 4.0 * mu, two_mu * mu};
+}
+
+double AdaptiveFactoring::Estimate::chunk(double target) const {
+  // The closed form with the target-free products hoisted; each operation
+  // and its order are those of the formula written out, so the result is
+  // bit-identical.
+  return (sigma2 + two_mu * target - sigma * std::sqrt(sigma2 + four_mu * target)) / two_mu2;
+}
+
 double AdaptiveFactoring::chunk_for_target(double mu, double sigma, double target) {
   if (!(mu > 0.0)) throw std::invalid_argument("chunk_for_target: mu must be > 0");
   if (sigma < 0.0) throw std::invalid_argument("chunk_for_target: sigma must be >= 0");
   if (target <= 0.0) return 0.0;
-  const double s2 = sigma * sigma;
-  return (s2 + 2.0 * mu * target - sigma * std::sqrt(s2 + 4.0 * mu * target)) /
-         (2.0 * mu * mu);
+  return Estimate::of(mu, sigma).chunk(target);
 }
 
 std::int64_t AdaptiveFactoring::next_chunk(const SchedulingContext& ctx) {
@@ -165,27 +175,25 @@ std::int64_t AdaptiveFactoring::next_chunk(const SchedulingContext& ctx) {
   }
 
   // Collect (mu, sigma) for all workers with data; others contribute the
-  // bootstrap share to the batch budget.
-  struct Estimate {
-    double mu;
-    double sigma;
-  };
-  std::vector<Estimate> estimates;
-  estimates.reserve(workers_);
+  // bootstrap share to the batch budget. Every worker with data has mu > 0
+  // and sigma >= 0, so the solver skips chunk_for_target's validation.
+  estimates_.clear();
   double unknown_share = 0.0;
   for (const auto& summary : measured_) {
     if (!summary.empty() && summary.mean() > 0.0) {
-      estimates.push_back({summary.mean(), summary.stddev()});
+      estimates_.push_back(Estimate::of(summary.mean(), summary.stddev()));
     } else {
       unknown_share += batch / p;
     }
   }
   const double budget = std::max(1.0, batch - unknown_share);
 
-  // Find target time T with sum_j K_j(T) = budget (monotone in T).
+  // Find target time T with sum_j K_j(T) = budget (monotone in T). Every
+  // probed T is positive: hi starts at >= 1 and each midpoint of (0, hi]
+  // is positive, so K_j needs no target <= 0 case here.
   auto total_chunks = [&](double target) {
     double sum = 0.0;
-    for (const Estimate& e : estimates) sum += chunk_for_target(e.mu, e.sigma, target);
+    for (const Estimate& e : estimates_) sum += e.chunk(target);
     return sum;
   };
   double hi = own.mean() * budget + own.stddev() * std::sqrt(budget) + 1.0;
@@ -193,6 +201,10 @@ std::int64_t AdaptiveFactoring::next_chunk(const SchedulingContext& ctx) {
   double lo = 0.0;
   for (int i = 0; i < 100; ++i) {
     const double mid = 0.5 * (lo + hi);
+    // Fixed point: once the midpoint rounds onto an end, either branch
+    // leaves 0.5 * (lo + hi) == mid for every remaining step, so the
+    // target is already final.
+    if (mid == lo || mid == hi) break;
     if (total_chunks(mid) < budget) {
       lo = mid;
     } else {

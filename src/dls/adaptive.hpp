@@ -65,13 +65,15 @@ class AdaptiveWeightedFactoring final : public Technique {
 /// i.e. the largest chunk whose one-standard-deviation pessimistic
 /// completion time stays within the batch target T; closed form
 ///     K_j(T) = (sigma^2 + 2 mu T - sigma sqrt(sigma^2 + 4 mu T)) / (2 mu^2).
-/// T is set (by monotone bisection) so that one virtual batch of chunks
-/// covers half of the remaining iterations: sum_j K_j(T) = R / 2 — the
-/// factoring rule. Workers with no measurements yet receive the factoring
-/// bootstrap chunk R / (2P) scaled by their availability observed at
-/// dispatch time (the executor-provided weights): AF is defined by its use
-/// of runtime system information, and before any chunk completes the
-/// current availability is the only runtime information there is.
+/// T is set (by monotone bisection, at most 100 halvings, ending early at
+/// the floating-point fixed point where the midpoint rounds onto an end) so
+/// that one virtual batch of chunks covers half of the remaining
+/// iterations: sum_j K_j(T) = R / 2 — the factoring rule. Workers with no
+/// measurements yet receive the factoring bootstrap chunk R / (2P) scaled
+/// by their availability observed at dispatch time (the executor-provided
+/// weights): AF is defined by its use of runtime system information, and
+/// before any chunk completes the current availability is the only runtime
+/// information there is.
 class AdaptiveFactoring final : public Technique {
  public:
   explicit AdaptiveFactoring(const TechniqueParams& params);
@@ -86,9 +88,24 @@ class AdaptiveFactoring final : public Technique {
   [[nodiscard]] static double chunk_for_target(double mu, double sigma, double target);
 
  private:
+  /// One worker's (mu, sigma) with the target-free products of K_j(T)
+  /// precomputed: sigma^2, 2 mu, 4 mu and 2 mu^2.
+  struct Estimate {
+    double sigma;
+    double sigma2;
+    double two_mu;
+    double four_mu;
+    double two_mu2;
+
+    [[nodiscard]] static Estimate of(double mu, double sigma);
+    /// K_j(target) for target > 0.
+    [[nodiscard]] double chunk(double target) const;
+  };
+
   std::size_t workers_;
   std::vector<double> bootstrap_weights_;       // availability-seeded, mean 1
   std::vector<stats::OnlineSummary> measured_;  // per-worker chunk-mean iteration times
+  std::vector<Estimate> estimates_;             // next_chunk scratch, reused across calls
 };
 
 }  // namespace cdsf::dls

@@ -1,5 +1,6 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -9,7 +10,8 @@ namespace cdsf::sim {
 void Engine::schedule_at(double time, Handler handler) {
   if (!std::isfinite(time)) throw std::invalid_argument("Engine::schedule_at: time must be finite");
   if (time < now_) throw std::invalid_argument("Engine::schedule_at: time is in the past");
-  queue_.push(Event{time, next_sequence_++, std::move(handler)});
+  queue_.push_back(Event{time, next_sequence_++, std::move(handler)});
+  std::push_heap(queue_.begin(), queue_.end(), Later{});
 }
 
 void Engine::schedule_after(double delay, Handler handler) {
@@ -34,9 +36,12 @@ std::uint64_t Engine::run(std::uint64_t max_events) {
     if (dispatched >= max_events) {
       throw std::runtime_error("Engine::run: event budget exhausted (runaway simulation?)");
     }
-    // Copy out before pop so the handler may schedule new events.
-    Event event = queue_.top();
-    queue_.pop();
+    // Move out before running so the handler may schedule new events.
+    // (time, sequence) is a strict total order, so the heap yields the
+    // same dispatch order as any other correct priority queue.
+    std::pop_heap(queue_.begin(), queue_.end(), Later{});
+    Event event = std::move(queue_.back());
+    queue_.pop_back();
     if (!cancelled_.empty() && cancelled_.erase(event.sequence) > 0) continue;
     now_ = event.time;
     ++dispatched;

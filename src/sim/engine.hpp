@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <unordered_set>
 #include <vector>
 
@@ -71,7 +70,9 @@ class Engine {
     }
   };
 
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  /// Binary heap under Later (std::push_heap / std::pop_heap), so run()
+  /// can move the earliest event out instead of copying its handler.
+  std::vector<Event> queue_;
   std::unordered_set<EventId> cancelled_;
   double now_ = 0.0;
   std::uint64_t next_sequence_ = 1;

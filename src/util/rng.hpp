@@ -7,6 +7,9 @@
 // and the whole experiment is reproducible from a single 64-bit value.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 
@@ -14,7 +17,7 @@ namespace cdsf::util {
 
 /// SplitMix64: tiny, high-quality 64-bit mixer (Steele, Lea, Flood 2014).
 /// Used both as a stand-alone generator for seed fan-out and to whiten
-/// user-provided seeds before they reach std::mt19937_64.
+/// user-provided seeds before they reach Mt19937_64.
 class SplitMix64 {
  public:
   explicit constexpr SplitMix64(std::uint64_t seed) noexcept : state_(seed) {}
@@ -31,15 +34,74 @@ class SplitMix64 {
   std::uint64_t state_;
 };
 
-/// A seeded random stream. Thin wrapper over std::mt19937_64 exposing the
+/// MT19937-64 with exactly the output sequence that the standard defines for
+/// std::mt19937_64 (so every std:: distribution sees the same bits), but
+/// with its work spread over the draws: seed words are computed only as the
+/// first block needs them, and the state is twisted one word per draw
+/// instead of a whole 312-word block at a time. Twisting word i in place,
+/// in index order, reads words (i + 1) mod 312 and (i + 156) mod 312 in the
+/// state the sweep has left them, which is exactly what the block twist
+/// reads. A stream that draws k < 156 values therefore pays for 156 + k
+/// seed words and k twists, not 312 of each.
+class Mt19937_64 {
+ public:
+  using result_type = std::uint_fast64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  explicit Mt19937_64(result_type seed) noexcept { state_[0] = seed; }
+
+  result_type operator()() noexcept {
+    if (seeded_ < kN) seed_ahead();
+    const std::size_t p = next_;
+    const std::size_t after = p + 1 < kN ? p + 1 : 0;
+    const std::size_t ahead = p < kN - kM ? p + kM : p - (kN - kM);
+    const std::uint64_t y = (state_[p] & kUpperMask) | (state_[after] & kLowerMask);
+    const std::uint64_t word = state_[ahead] ^ (y >> 1) ^ ((y & 1U) != 0U ? kMatrixA : 0U);
+    state_[p] = word;
+    next_ = after;
+    return temper(word);
+  }
+
+ private:
+  static constexpr std::size_t kN = 312;
+  static constexpr std::size_t kM = 156;
+  static constexpr std::uint64_t kMatrixA = 0xB5026F5AA96619E9ULL;
+  static constexpr std::uint64_t kUpperMask = ~std::uint64_t{0} << 31;
+  static constexpr std::uint64_t kLowerMask = ~kUpperMask;
+  static constexpr std::uint64_t kInitMultiplier = 6364136223846793005ULL;
+
+  /// Seeds every word the draw at next_ reads: up to next_ + kM while the
+  /// first block runs, all kN words once it is past kN - kM.
+  void seed_ahead() noexcept {
+    const std::size_t need = std::min(kN, next_ + kM + 1);
+    for (; seeded_ < need; ++seeded_) {
+      const std::uint64_t prev = state_[seeded_ - 1];
+      state_[seeded_] = kInitMultiplier * (prev ^ (prev >> 62)) + seeded_;
+    }
+  }
+
+  static constexpr std::uint64_t temper(std::uint64_t z) noexcept {
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+    z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+  std::array<std::uint64_t, kN> state_{};
+  std::size_t seeded_ = 1;  // words [0, seeded_) hold their seed (or a later) value
+  std::size_t next_ = 0;    // word the next draw twists and returns
+};
+
+/// A seeded random stream. Thin wrapper over Mt19937_64 exposing the
 /// UniformRandomBitGenerator interface plus convenience draws.
 class RngStream {
  public:
   explicit RngStream(std::uint64_t seed) : engine_(whiten(seed)) {}
 
-  using result_type = std::mt19937_64::result_type;
-  static constexpr result_type min() { return std::mt19937_64::min(); }
-  static constexpr result_type max() { return std::mt19937_64::max(); }
+  using result_type = Mt19937_64::result_type;
+  static constexpr result_type min() { return Mt19937_64::min(); }
+  static constexpr result_type max() { return Mt19937_64::max(); }
   result_type operator()() { return engine_(); }
 
   /// Uniform double in [0, 1).
@@ -67,13 +129,13 @@ class RngStream {
     return std::normal_distribution<double>(mean, stddev)(engine_);
   }
 
-  std::mt19937_64& engine() noexcept { return engine_; }
+  Mt19937_64& engine() noexcept { return engine_; }
 
  private:
   static std::uint64_t whiten(std::uint64_t seed) {
     return SplitMix64(seed).next();
   }
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
 };
 
 /// Deterministic fan-out of one master seed into independent child seeds.

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "dls/adaptive.hpp"
+#include "util/rng.hpp"
 
 namespace cdsf::dls {
 namespace {
@@ -254,6 +258,181 @@ TEST(Af, NeverExceedsRemaining) {
   const std::int64_t chunk = technique.next_chunk(ctx(7, 0));
   EXPECT_GE(chunk, 1);
   EXPECT_LE(chunk, 7);
+}
+
+// AF solver oracle: the 100-step bisection as it stood before the solver
+// learned to stop at its floating-point fixed point, kept verbatim so that
+// next_chunk is held to exactly equal chunks, not merely close ones.
+namespace oracle {
+
+double chunk_for_target(double mu, double sigma, double target) {
+  if (!(mu > 0.0)) throw std::invalid_argument("chunk_for_target: mu must be > 0");
+  if (sigma < 0.0) throw std::invalid_argument("chunk_for_target: sigma must be >= 0");
+  if (target <= 0.0) return 0.0;
+  const double s2 = sigma * sigma;
+  return (s2 + 2.0 * mu * target - sigma * std::sqrt(s2 + 4.0 * mu * target)) /
+         (2.0 * mu * mu);
+}
+
+std::int64_t next_chunk(const std::vector<stats::OnlineSummary>& measured_,
+                        const std::vector<double>& bootstrap_weights_,
+                        const SchedulingContext& ctx) {
+  const std::size_t workers_ = measured_.size();
+  const auto p = static_cast<double>(workers_);
+  const double batch = std::max(1.0, static_cast<double>(ctx.remaining_iterations) * 0.5);
+
+  const stats::OnlineSummary& own = measured_.at(ctx.worker);
+  if (own.empty() || own.mean() <= 0.0) {
+    const double share = (batch / p) * bootstrap_weights_.at(ctx.worker);
+    const std::int64_t bootstrap =
+        std::max<std::int64_t>(1, static_cast<std::int64_t>(std::llround(share)));
+    return clamp_chunk(bootstrap, ctx.remaining_iterations);
+  }
+
+  struct Estimate {
+    double mu;
+    double sigma;
+  };
+  std::vector<Estimate> estimates;
+  estimates.reserve(workers_);
+  double unknown_share = 0.0;
+  for (const auto& summary : measured_) {
+    if (!summary.empty() && summary.mean() > 0.0) {
+      estimates.push_back({summary.mean(), summary.stddev()});
+    } else {
+      unknown_share += batch / p;
+    }
+  }
+  const double budget = std::max(1.0, batch - unknown_share);
+
+  auto total_chunks = [&](double target) {
+    double sum = 0.0;
+    for (const Estimate& e : estimates) sum += chunk_for_target(e.mu, e.sigma, target);
+    return sum;
+  };
+  double hi = own.mean() * budget + own.stddev() * std::sqrt(budget) + 1.0;
+  for (int i = 0; i < 128 && total_chunks(hi) < budget; ++i) hi *= 2.0;
+  double lo = 0.0;
+  for (int i = 0; i < 100; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    if (total_chunks(mid) < budget) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  const double target = 0.5 * (lo + hi);
+  const auto chunk = static_cast<std::int64_t>(
+      std::llround(chunk_for_target(own.mean(), own.stddev(), target)));
+  return clamp_chunk(chunk, ctx.remaining_iterations);
+}
+
+}  // namespace oracle
+
+/// An AF instance and the oracle's copy of its measured state, fed the
+/// same chunk results.
+class AfUnderOracle {
+ public:
+  explicit AfUnderOracle(const TechniqueParams& p)
+      : technique_(p), measured_(p.workers), bootstrap_(normalized_weights(p)) {}
+
+  void record(std::size_t worker, std::int64_t iterations, double execution_time) {
+    technique_.record(ChunkResult{worker, iterations, execution_time, execution_time});
+    measured_[worker].add(execution_time / static_cast<double>(iterations));
+  }
+
+  /// Asks both for a chunk; returns false (with a message) on a mismatch.
+  ::testing::AssertionResult agree(std::int64_t remaining, std::size_t worker) {
+    const SchedulingContext request = ctx(remaining, worker);
+    const std::int64_t expected = oracle::next_chunk(measured_, bootstrap_, request);
+    const std::int64_t actual = technique_.next_chunk(request);
+    if (actual == expected) return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << "workers=" << measured_.size() << " worker=" << worker
+           << " remaining=" << remaining << " next_chunk=" << actual << " oracle=" << expected;
+  }
+
+  [[nodiscard]] bool measured(std::size_t worker) const { return !measured_[worker].empty(); }
+
+ private:
+  AdaptiveFactoring technique_;
+  std::vector<stats::OnlineSummary> measured_;
+  std::vector<double> bootstrap_;
+};
+
+TEST(AfOracle, NextChunkEqualsHundredStepBisectionOnRandomStates) {
+  util::RngStream rng(0xAF0AC1E);
+  std::size_t solver_requests = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto workers = static_cast<std::size_t>(trial < 200 ? trial + 1 : rng.uniform_int(1, 200));
+    TechniqueParams p = params(workers, 1'000'000);
+    if (trial % 3 == 0) {
+      for (std::size_t w = 0; w < workers; ++w) p.weights.push_back(rng.uniform(0.1, 1.0));
+    }
+    AfUnderOracle af(p);
+    // Some workers never report; the rest report a varying number of
+    // chunks whose per-iteration time is steady (sigma = 0), mildly noisy,
+    // or wildly spread (sigma^2 far above mu * T).
+    const double silent = rng.uniform(0.0, 0.6);
+    for (std::size_t w = 0; w < workers; ++w) {
+      if (rng.uniform01() < silent) continue;
+      const int style = static_cast<int>(rng.uniform_int(0, 2));
+      const double base = std::exp(rng.uniform(-6.0, 4.0));
+      const auto chunks = rng.uniform_int(1, style == 2 ? 40 : 6);
+      for (std::int64_t c = 0; c < chunks; ++c) {
+        const std::int64_t iterations = rng.uniform_int(1, 500);
+        double per_iteration = base;
+        if (style == 1) per_iteration *= rng.uniform(0.5, 1.5);
+        if (style == 2) per_iteration *= (c == 0) ? 1e4 : rng.uniform(1e-6, 1e-3);
+        af.record(w, iterations, per_iteration * static_cast<double>(iterations));
+      }
+    }
+    for (const std::int64_t remaining :
+         {std::int64_t{1}, std::int64_t{2}, std::int64_t{3}, rng.uniform_int(4, 5000),
+          rng.uniform_int(100'000, 100'000'000)}) {
+      for (int ask = 0; ask < 4; ++ask) {
+        const auto worker = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(workers) - 1));
+        if (af.measured(worker)) ++solver_requests;
+        ASSERT_TRUE(af.agree(remaining, worker)) << "trial " << trial;
+      }
+    }
+  }
+  // Most requests must have gone through the solver, not the bootstrap.
+  EXPECT_GT(solver_requests, 3000u);
+}
+
+TEST(AfOracle, NextChunkEqualsHundredStepBisectionOnEdgeStates) {
+  // sigma = 0 everywhere (one observation each, or identical ones).
+  AfUnderOracle steady(params(5, 1000));
+  for (std::size_t w = 0; w < 5; ++w) {
+    steady.record(w, 100, 100.0 * static_cast<double>(w + 1));
+    steady.record(w, 50, 50.0 * static_cast<double>(w + 1));
+  }
+  for (const std::int64_t remaining : {1, 2, 999, 1'000'000'000}) {
+    for (std::size_t w = 0; w < 5; ++w) EXPECT_TRUE(steady.agree(remaining, w));
+  }
+
+  // sigma^2 >> mu * T: one huge chunk-mean among many tiny ones.
+  AfUnderOracle spread(params(3, 1000));
+  spread.record(0, 1, 1e6);
+  for (int i = 0; i < 200; ++i) spread.record(0, 10, 1e-7);
+  spread.record(1, 10, 1.0);
+  for (const std::int64_t remaining : {1, 2, 7, 10'000'000}) {
+    for (std::size_t w = 0; w < 3; ++w) EXPECT_TRUE(spread.agree(remaining, w));
+  }
+
+  // One measured worker among 200; 200 workers all measured.
+  AfUnderOracle lonely(params(200, 1000));
+  lonely.record(137, 10, 3.0);
+  AfUnderOracle crowd(params(200, 1000));
+  for (std::size_t w = 0; w < 200; ++w) crowd.record(w, 10, 1.0 + 0.01 * static_cast<double>(w));
+  for (const std::int64_t remaining : {1, 2, 12'345, 500'000'000}) {
+    EXPECT_TRUE(lonely.agree(remaining, 137));
+    EXPECT_TRUE(lonely.agree(remaining, 0));
+    EXPECT_TRUE(crowd.agree(remaining, 0));
+    EXPECT_TRUE(crowd.agree(remaining, 199));
+  }
 }
 
 }  // namespace

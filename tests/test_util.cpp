@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <random>
 #include <set>
 #include <sstream>
 
@@ -63,6 +65,88 @@ TEST(RngStream, NormalMeanApproximatelyCorrect) {
   constexpr int kDraws = 20000;
   for (int i = 0; i < kDraws; ++i) sum += rng.normal(10.0, 2.0);
   EXPECT_NEAR(sum / kDraws, 10.0, 0.1);
+}
+
+// The standard engine is the oracle that Mt19937_64 must match bit for bit.
+// cdsf-lint: allow(rng-source) reference engine for the equivalence tests only
+using OracleEngine = std::mt19937_64;
+
+/// Index of the first of `draws` outputs where the two engines differ, or
+/// -1 when all agree.
+template <typename Engine>
+long first_mismatch(Engine& engine, OracleEngine& oracle, int draws) {
+  for (int i = 0; i < draws; ++i) {
+    if (engine() != oracle()) return i;
+  }
+  return -1;
+}
+
+TEST(Mt19937_64, MatchesStandardEngineAcrossBlockBoundaries) {
+  // Draw counts straddle the half-block (156), block (312) and two-block
+  // (624) boundaries of the lazy seeding and the per-word twist.
+  constexpr std::array<int, 13> kDraws = {1,   155, 156, 157, 311, 312, 313,
+                                          467, 468, 623, 624, 625, 1000};
+  for (std::uint64_t s = 0; s < 2000; ++s) {
+    const std::uint64_t seed = SplitMix64(s).next();
+    Mt19937_64 engine(seed);
+    OracleEngine oracle(seed);
+    ASSERT_EQ(first_mismatch(engine, oracle, kDraws[s % kDraws.size()]), -1) << "seed " << s;
+  }
+}
+
+TEST(Mt19937_64, ExtremeSeedsMatchStandardEngine) {
+  for (const std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{1}, ~std::uint64_t{0},
+                                   std::uint64_t{5489}}) {
+    Mt19937_64 engine(seed);
+    OracleEngine oracle(seed);
+    EXPECT_EQ(first_mismatch(engine, oracle, 700), -1) << "seed " << seed;
+  }
+}
+
+TEST(Mt19937_64, CopyInsideFirstBlockContinuesBothStreams) {
+  for (const int before : {0, 1, 100, 155, 156, 157, 311}) {
+    const std::uint64_t seed = SplitMix64(static_cast<std::uint64_t>(before)).next();
+    Mt19937_64 engine(seed);
+    OracleEngine oracle(seed);
+    ASSERT_EQ(first_mismatch(engine, oracle, before), -1);
+    Mt19937_64 copy = engine;
+    OracleEngine oracle_copy = oracle;
+    EXPECT_EQ(first_mismatch(engine, oracle, 700), -1) << "original after " << before;
+    EXPECT_EQ(first_mismatch(copy, oracle_copy, 700), -1) << "copy after " << before;
+  }
+}
+
+TEST(RngStream, EngineIsWhitenedStandardSequence) {
+  for (std::uint64_t s = 0; s < 64; ++s) {
+    RngStream rng(s);
+    OracleEngine oracle(SplitMix64(s).next());
+    EXPECT_EQ(first_mismatch(rng, oracle, 400), -1) << "seed " << s;
+  }
+}
+
+TEST(RngStream, DistributionDrawsMatchStandardEngine) {
+  // The stats distributions draw through RngStream::engine() (gamma,
+  // exponential, weibull) or RngStream::normal(); both must see the same
+  // bits as the standard engine. Draws alternate so each distribution
+  // starts at a different offset into the stream.
+  for (std::uint64_t s = 0; s < 32; ++s) {
+    RngStream rng(s);
+    OracleEngine oracle(SplitMix64(s).next());
+    for (int i = 0; i < 200; ++i) {
+      ASSERT_EQ(rng.normal(), std::normal_distribution<double>(0.0, 1.0)(oracle));
+      ASSERT_EQ(rng.normal(3.0, 0.5), std::normal_distribution<double>(3.0, 0.5)(oracle));
+      ASSERT_EQ(std::gamma_distribution<double>(0.7, 2.0)(rng.engine()),
+                std::gamma_distribution<double>(0.7, 2.0)(oracle));
+      ASSERT_EQ(std::gamma_distribution<double>(4.5, 1.0)(rng.engine()),
+                std::gamma_distribution<double>(4.5, 1.0)(oracle));
+      ASSERT_EQ(std::exponential_distribution<double>(0.25)(rng.engine()),
+                std::exponential_distribution<double>(0.25)(oracle));
+      ASSERT_EQ(std::weibull_distribution<double>(1.5, 3.0)(rng.engine()),
+                std::weibull_distribution<double>(1.5, 3.0)(oracle));
+      ASSERT_EQ(rng.uniform01(), std::uniform_real_distribution<double>(0.0, 1.0)(oracle));
+      ASSERT_EQ(rng.uniform_int(-5, 9), std::uniform_int_distribution<std::int64_t>(-5, 9)(oracle));
+    }
+  }
 }
 
 TEST(SeedSequence, ChildSeedsAreOrderIndependent) {
