@@ -3,8 +3,6 @@
 // every experiment in this repository.
 #include <benchmark/benchmark.h>
 
-#include <functional>
-
 #include "cdsf/paper_example.hpp"
 #include "ra/heuristics.hpp"
 #include "sim/engine.hpp"
@@ -56,14 +54,14 @@ void BM_JointProbabilityCached(benchmark::State& state) {
 BENCHMARK(BM_JointProbabilityCached);
 
 void BM_EventEngineThroughput(benchmark::State& state) {
+  struct Tick {};
   for (auto _ : state) {
-    sim::Engine engine;
+    sim::Engine<Tick> engine;
     std::uint64_t count = 0;
-    std::function<void()> chain = [&] {
-      if (++count < 10000) engine.schedule_after(1.0, chain);
-    };
-    engine.schedule_at(0.0, chain);
-    benchmark::DoNotOptimize(engine.run());
+    engine.schedule_at(0.0, Tick{});
+    benchmark::DoNotOptimize(engine.run([&](const Tick&) {
+      if (++count < 10000) engine.schedule_after(1.0, Tick{});
+    }));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 10000);
 }

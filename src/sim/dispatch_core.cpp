@@ -8,9 +8,9 @@
 
 namespace cdsf::sim::detail {
 
-DispatchCore::DispatchCore(const char* executor, const workload::Application& app,
-                           const SimConfig& sim_config, PreparedRun& run, double dispatch_overhead,
-                           std::uint64_t seed)
+DispatchCore::DispatchCore(const char* executor, const SimClock& sim_clock,
+                           const workload::Application& app, const SimConfig& sim_config,
+                           PreparedRun& run, double dispatch_overhead, std::uint64_t seed)
     : who(executor),
       application(app),
       config(sim_config),
@@ -25,6 +25,7 @@ DispatchCore::DispatchCore(const char* executor, const workload::Application& ap
              config.flight.enabled && obs::flight_recording_enabled()),
       health(config.quarantine, prepared.workers.size()),
       auditing(prepared.workers.size(), 0),
+      clock_(sim_clock),
       corrupt_failure_(prepared.workers.size(), nullptr),
       weight0_(prepared.workers.size(), 1.0) {
   const std::size_t processors = prepared.workers.size();
@@ -104,7 +105,7 @@ void DispatchCore::check_stranded(bool armed, std::int64_t remaining, const char
   // finalize_run never runs for a stranded run, so the postmortem dumps
   // here, at the detection site.
   obs::FlightSink::global().maybe_dump(flight.finish(),
-                                       obs::FlightAnomaly{"strand", detail, engine.now()});
+                                       obs::FlightAnomaly{"strand", detail, clock_.now()});
   throw std::runtime_error(std::string(who) + ": " + detail);
 }
 
@@ -113,7 +114,7 @@ RunResult DispatchCore::finish_run(double serial_end) {
     if (busy) health.stats.audits_abandoned += 1;
   }
   audits_waiting.clear();
-  health.finish(std::max(result.makespan, engine.now()));
+  health.finish(std::max(result.makespan, clock_.now()));
   result.quarantine = health.stats;
   for (WorkerStats& w : result.workers) {
     if (w.finish_time == 0.0) w.finish_time = serial_end;
@@ -125,7 +126,7 @@ RunResult DispatchCore::finish_run(double serial_end) {
 IterationPool::Range DispatchCore::grant(dls::Technique& technique, std::size_t w, bool probe,
                                          bool fallback, const std::vector<char>& down) {
   const std::int64_t pending = pool.pending();
-  std::int64_t chunk = technique.next_chunk(dls::SchedulingContext{pending, w, engine.now()});
+  std::int64_t chunk = technique.next_chunk(dls::SchedulingContext{pending, w, clock_.now()});
   if (chunk <= 0) {
     if (probe) {
       chunk = 1;
@@ -151,7 +152,7 @@ IterationPool::Range DispatchCore::grant(dls::Technique& technique, std::size_t 
 bool DispatchCore::complete(dls::Technique& technique, std::size_t w, IterationPool::Range range,
                             bool backup, bool probe, double dispatch_time, double start_time,
                             double end_time, double overhead_time) {
-  const double now = engine.now();
+  const double now = clock_.now();
   WorkerStats& stats = result.workers[w];
   stats.chunks += 1;
   stats.iterations += range.count;
@@ -239,7 +240,7 @@ void DispatchCore::audit_verdict(std::size_t w, const AuditJob& job, double star
 void DispatchCore::charge_cancelled(std::size_t w, IterationPool::Range range, bool backup,
                                     double dispatch_time, double start_time, double end_time,
                                     std::ptrdiff_t trace_index) {
-  const double now = engine.now();
+  const double now = clock_.now();
   result.speculation.cancelled_work += sunk_work(w, dispatch_time, start_time, end_time);
   if (backup) {
     result.speculation.backups_cancelled += 1;
@@ -264,7 +265,7 @@ void DispatchCore::charge_lost(std::size_t w, IterationPool::Range range, bool b
 
 double DispatchCore::sunk_work(std::size_t w, double dispatch_time, double start_time,
                                double end_time) const {
-  const double now = engine.now();
+  const double now = clock_.now();
   double sunk = std::min(overhead, std::max(0.0, now - dispatch_time));
   const double stop = std::min(now, end_time);
   if (start_time < stop) {
@@ -279,7 +280,7 @@ bool DispatchCore::draws_wrong(std::size_t w, double end_time) {
 }
 
 void DispatchCore::quarantine(std::size_t w, bool audit_trip) {
-  health.quarantine(w, engine.now(), audit_trip);
+  health.quarantine(w, clock_.now(), audit_trip);
   emit(obs::FlightEventKind::kWorkerQuarantined, LifecycleEvent::Kind::kWorkerQuarantined, w,
        audit_trip ? 1 : 0);
 }

@@ -38,9 +38,10 @@ class DispatchCore {
   /// transport's dispatch cost (scheduling overhead, or one message
   /// latency) — the fixed part of the slowdown baseline and of every
   /// sunk-work charge.
-  DispatchCore(const char* executor, const workload::Application& app,
-               const SimConfig& sim_config, PreparedRun& run, double dispatch_overhead,
-               std::uint64_t seed);
+  /// `sim_clock` is the transport's engine, which outlives the core.
+  DispatchCore(const char* executor, const SimClock& sim_clock,
+               const workload::Application& app, const SimConfig& sim_config, PreparedRun& run,
+               double dispatch_overhead, std::uint64_t seed);
   DispatchCore(const DispatchCore&) = delete;
   DispatchCore& operator=(const DispatchCore&) = delete;
 
@@ -52,7 +53,6 @@ class DispatchCore {
   const bool quarantine_armed;
 
   RunResult result;
-  Engine engine;
   IterationPool pool;
   obs::FlightRecorder flight;
   HealthTracker health;
@@ -79,7 +79,7 @@ class DispatchCore {
   /// collect_trace) in the lifecycle trace.
   void emit(obs::FlightEventKind flight_kind, LifecycleEvent::Kind kind, std::size_t w,
             std::int64_t value = 0) {
-    const double now = engine.now();
+    const double now = clock_.now();
     flight.record(flight_kind, now, static_cast<std::uint32_t>(w), value);
     if (config.collect_trace) result.events.push_back({kind, now, w, value});
   }
@@ -87,14 +87,14 @@ class DispatchCore {
   /// lifecycle event its iteration count.
   void emit(obs::FlightEventKind flight_kind, LifecycleEvent::Kind kind, std::size_t w,
             IterationPool::Range range) {
-    const double now = engine.now();
+    const double now = clock_.now();
     flight.record(flight_kind, now, static_cast<std::uint32_t>(w), range.first, range.count);
     if (config.collect_trace) result.events.push_back({kind, now, w, range.count});
   }
   /// A coordinator moment: master flight track, lifecycle worker 0.
   void emit_master(obs::FlightEventKind flight_kind, LifecycleEvent::Kind kind,
                    std::int64_t value = 0, std::int64_t b = 0) {
-    const double now = engine.now();
+    const double now = clock_.now();
     flight.record(flight_kind, now, obs::kFlightMasterTrack, value, b);
     if (config.collect_trace) result.events.push_back({kind, now, 0, value});
   }
@@ -148,7 +148,7 @@ class DispatchCore {
   /// Worker w has nothing to run: its finish time reaches now.
   void note_idle(std::size_t w) {
     WorkerStats& stats = result.workers[w];
-    stats.finish_time = std::max(stats.finish_time, engine.now());
+    stats.finish_time = std::max(stats.finish_time, clock_.now());
   }
 
   /// An ACCEPTED completion of `range` on worker w: accounting, the
@@ -182,6 +182,7 @@ class DispatchCore {
                    double start_time, double end_time);
 
  private:
+  const SimClock& clock_;
   /// Dispatch overhead spent so far plus compute delivered before now (or
   /// before the copy's end, whichever is first).
   [[nodiscard]] double sunk_work(std::size_t w, double dispatch_time, double start_time,

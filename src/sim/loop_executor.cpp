@@ -46,25 +46,53 @@ class ForwardingTechnique final : public dls::Technique {
 /// re-dispatched FIFO to idle survivors; record() is never called for lost
 /// chunks, so adaptive weights see only real timings. The deadline-risk
 /// monitor exists only here.
-RunResult run_ideal_loop(const workload::Application& application, const SimConfig& config,
-                         detail::PreparedRun& prepared, dls::Technique& technique,
-                         std::uint64_t seed) {
-  detail::DispatchCore core("simulate_loop", application, config, prepared,
-                            config.scheduling_overhead, seed);
-  const double serial_end =
-      core.open_run("master crashed during the serial phase — the serial iterations have no "
-                    "fault tolerance (re-dispatch needs a live master)");
-  std::vector<detail::Worker>& workers = prepared.workers;
-  const std::size_t processors = workers.size();
-  const bool crash_mode = detail::has_crash_failures(config);
-  const bool speculate = config.speculation.enabled;
-  const std::int64_t total_parallel = application.parallel_iterations();
-  RunResult& result = core.result;
-  Engine& engine = core.engine;
-  detail::HealthTracker& health = core.health;
-  std::vector<char> dead(processors, 0);
-  std::vector<char> idle(processors, 0);
+class IdealLoop {
+ public:
+  IdealLoop(const workload::Application& application, const SimConfig& sim_config,
+            detail::PreparedRun& prepared_run, dls::Technique& run_technique, std::uint64_t seed)
+      : config(sim_config),
+        prepared(prepared_run),
+        technique(run_technique),
+        core("simulate_loop", engine, application, sim_config, prepared_run,
+             sim_config.scheduling_overhead, seed),
+        total_parallel(application.parallel_iterations()) {}
 
+  RunResult run() {
+    serial_end =
+        core.open_run("master crashed during the serial phase — the serial iterations have no "
+                      "fault tolerance (re-dispatch needs a live master)");
+    if (total_parallel > 0) {
+      // Crash lifecycle events FIRST so that, on a timestamp tie, a worker is
+      // marked dead before any request or completion at the same instant.
+      for (std::size_t w = 0; w < processors; ++w) {
+        if (!workers[w].crashes()) continue;
+        engine.schedule_at(workers[w].crash_time, Event{Kind::kCrash, w});
+        if (std::isfinite(workers[w].recovery_time) && workers[w].recovery_time > serial_end) {
+          engine.schedule_at(workers[w].recovery_time, Event{Kind::kRecover, w});
+        }
+      }
+      // Two timers re-push themselves while rescuable(); the canary timer
+      // exists only when the gray machinery is armed.
+      if (config.deadline_risk.enabled) {
+        engine.schedule_at(serial_end + config.deadline_risk.check_interval,
+                           Event{Kind::kRiskCheck});
+      }
+      if (core.quarantine_armed) {
+        engine.schedule_at(serial_end + config.quarantine.probe_interval,
+                           Event{Kind::kProbeTick});
+      }
+      // All workers become available for parallel work once the serial
+      // portion completes on the master; workers already down then are
+      // skipped (their recovery event, if any, revives them).
+      engine.schedule_at(serial_end, Event{Kind::kOpen});
+      engine.run([this](const Event& event) { dispatch(event); });
+    }
+    core.check_stranded(crash_mode, core.pool.pending(),
+                        "with no surviving worker to re-dispatch to");
+    return core.finish_run(serial_end);
+  }
+
+ private:
   // One dispatched copy of a task's range. A task is the unit of
   // exactly-once execution: normally just the primary copy; when the
   // speculation layer flags the primary as a straggler, a backup copy runs
@@ -76,7 +104,7 @@ RunResult run_ideal_loop(const workload::Application& application, const SimConf
     double dispatch_time = 0.0;
     double start_time = 0.0;
     double end_time = 0.0;
-    Engine::EventId completion = Engine::kNoEvent;
+    EventId completion = kNoEvent;
     std::ptrdiff_t trace_index = -1;  // set only with collect_trace
   };
   struct Task {
@@ -88,62 +116,100 @@ RunResult run_ideal_loop(const workload::Application& application, const SimConf
     bool done = false;     // a winner finished, or the range went back
     bool probe = false;    // canary chunk sent to a quarantined worker
   };
-  std::vector<std::unique_ptr<Task>> tasks;         // stable addresses
-  std::vector<Task*> running(processors, nullptr);  // copy hosted on worker w
-  std::deque<Task*> stragglers;  // flagged tasks awaiting an idle worker
-  // Live straggler threshold in sigmas; the deadline-risk monitor tightens
-  // it (affects chunks dispatched AFTER the escalation).
-  double quantile = config.speculation.quantile;
+  enum class Kind : std::uint8_t {
+    kOpen,          // the serial phase ended: every worker requests
+    kComplete,      // copy `backup` of `task` finished (cancellable)
+    kStraggler,     // `task`'s primary on `worker` crossed its threshold
+    kAuditVerdict,  // `worker`'s replica of `job` finished
+    kCrash,         // `worker` crashes
+    kRecover,       // `worker` rejoins
+    kRiskCheck,     // deadline-risk monitor tick
+    kProbeTick,     // canary-probe timer tick
+  };
+  /// One scheduled moment: the kind plus the fields its handler reads.
+  struct Event {
+    Kind kind;
+    std::size_t worker = 0;
+    Task* task = nullptr;
+    bool backup = false;
+    detail::AuditJob job{};
+    double start_time = 0.0;  // kAuditVerdict
+    double end_time = 0.0;    // kAuditVerdict
+  };
+
+  void dispatch(const Event& event) {
+    const std::size_t w = event.worker;
+    switch (event.kind) {
+      case Kind::kOpen:
+        for (std::size_t v = 0; v < processors; ++v) request(v);
+        return;
+      case Kind::kComplete:
+        return complete_copy(event.task, event.backup);
+      case Kind::kStraggler:
+        return flag_straggler(event.task, w);
+      case Kind::kAuditVerdict:
+        core.audit_verdict(w, event.job, event.start_time, event.end_time,
+                           config.scheduling_overhead);
+        request(w);
+        return;
+      case Kind::kCrash:
+        return crash(w);
+      case Kind::kRecover:
+        dead[w] = 0;
+        core.flight.record(obs::FlightEventKind::kWorkerRecovered, engine.now(),
+                           static_cast<std::uint32_t>(w));
+        request(w);
+        return;
+      case Kind::kRiskCheck:
+        return risk_check();
+      case Kind::kProbeTick:
+        return probe_tick();
+    }
+  }
 
   // Times a copy of `range` dispatched to worker v now. Lost iff the
   // execution window straddles the crash (a permanent crash makes end_time
   // +infinity, which also lands here). Dead workers never request, so
   // dispatch_time < crash_time holds for every pre-crash chunk and is
   // false for every post-recovery one.
-  auto time_copy = [&](std::size_t v, detail::IterationPool::Range range) {
-    Copy copy;
-    copy.worker = v;
-    copy.dispatch_time = engine.now();
-    copy.start_time = copy.dispatch_time + config.scheduling_overhead;
+  Copy time_copy(std::size_t v, detail::IterationPool::Range range) {
+    Copy copy{.worker = v, .dispatch_time = engine.now(),
+              .start_time = engine.now() + config.scheduling_overhead};
     copy.end_time =
         workers[v].availability->finish_time(copy.start_time, core.draw_work(v, range));
     copy.lost =
         copy.dispatch_time < workers[v].crash_time && copy.end_time > workers[v].crash_time;
     copy.live = !copy.lost;
     return copy;
-  };
-
-  std::function<void(std::size_t)> request;
+  }
 
   // Stops a live losing copy: its completion event dies, the sunk work is
   // charged to cancelled_work, and its worker is free immediately.
-  auto cancel_copy = [&](Task& task, Copy& copy, bool is_backup) {
+  void cancel_copy(Task& task, Copy& copy, bool is_backup) {
     engine.cancel(copy.completion);
     copy.live = false;
     core.charge_cancelled(copy.worker, task.range, is_backup, copy.dispatch_time,
                           copy.start_time, copy.end_time, copy.trace_index);
     running[copy.worker] = nullptr;
     request(copy.worker);
-  };
+  }
 
   // Re-executes an accepted chunk on independent worker v; the verdict
   // lands when the replica finishes.
-  auto launch_audit = [&](std::size_t v, const detail::AuditJob& job) {
+  void launch_audit(std::size_t v, const detail::AuditJob& job) {
     const Copy replica = time_copy(v, job.range);
     if (!core.begin_audit(v, job, replica.dispatch_time, replica.start_time, replica.end_time,
                           replica.lost)) {
       return;
     }
     engine.schedule_at(replica.end_time,
-                       [&, v, job, start = replica.start_time, end = replica.end_time] {
-                         core.audit_verdict(v, job, start, end, config.scheduling_overhead);
-                         request(v);
-                       });
-  };
+                       Event{.kind = Kind::kAuditVerdict, .worker = v, .job = job,
+                             .start_time = replica.start_time, .end_time = replica.end_time});
+  }
 
   // Winning copy finished: account it, feed the technique exactly once,
   // cancel the losing copy if one is still running.
-  auto complete_copy = [&](Task* task, bool is_backup) {
+  void complete_copy(Task* task, bool is_backup) {
     Copy& winner = is_backup ? task->backup : task->primary;
     const std::size_t w = winner.worker;
     winner.live = false;
@@ -164,16 +230,16 @@ RunResult run_ideal_loop(const workload::Application& application, const SimConf
     Copy& loser = is_backup ? task->primary : task->backup;
     if (task->has_backup && loser.live) cancel_copy(*task, loser, !is_backup);
     request(w);
-  };
+  }
 
   // Runs a straggler task's range a second time on idle worker v.
-  auto launch_backup = [&](std::size_t v, Task* task) {
+  void launch_backup(std::size_t v, Task* task) {
     const detail::IterationPool::Range range = task->range;
     task->has_backup = true;
     task->backup = time_copy(v, range);
     Copy& copy = task->backup;
     running[v] = task;
-    result.speculation.backups_launched += 1;
+    core.result.speculation.backups_launched += 1;
     core.emit(obs::FlightEventKind::kBackupLaunched, LifecycleEvent::Kind::kChunkBackup, v,
               range);
     copy.trace_index = core.trace({v, range.count, copy.dispatch_time, copy.start_time,
@@ -182,15 +248,15 @@ RunResult run_ideal_loop(const workload::Application& application, const SimConf
                    << ", " << copy.end_time << "]" << (copy.lost ? " LOST" : "");
     if (copy.lost) return;  // the crash event at crash_time reclaims it
     copy.completion =
-        engine.schedule_cancellable_at(copy.end_time, [&, task] { complete_copy(task, true); });
-  };
+        engine.schedule_cancellable_at(copy.end_time, Event{Kind::kComplete, v, task, true});
+  }
 
   // Dispatches a granted range onto worker w as a fresh primary copy.
   // Shared by the normal request path and the canary-probe path (a canary
   // is an ordinary chunk of real pool work, flagged `probe` and exempt
   // from straggler speculation — the quarantined worker is deliberately
   // running it, so a backup would defeat the measurement).
-  auto launch_task = [&](std::size_t w, detail::IterationPool::Range range, bool is_probe) {
+  void launch_task(std::size_t w, detail::IterationPool::Range range, bool is_probe) {
     const Copy copy = time_copy(w, range);
     tasks.push_back(std::make_unique<Task>());
     Task* task = tasks.back().get();
@@ -206,7 +272,7 @@ RunResult run_ideal_loop(const workload::Application& application, const SimConf
     CDSF_LOG_TRACE << "worker " << w << (is_probe ? " canary " : " chunk ") << range.count
                    << " [" << copy.dispatch_time << ", " << copy.end_time << "]"
                    << (copy.lost ? " LOST" : "");
-    if (speculate && !is_probe) {
+    if (config.speculation.enabled && !is_probe) {
       // Expected compute time: the technique's measured wall-clock estimate
       // when it has one (AWF/AF — availability-aware), else the a-priori
       // dedicated-time profile. A degraded-but-alive worker blows through
@@ -218,33 +284,37 @@ RunResult run_ideal_loop(const workload::Application& application, const SimConf
           config.speculation.min_elapsed,
           mu_it * count +
               quantile * prepared.input_factor * prepared.stddev_iter[w] * std::sqrt(count));
-      engine.schedule_at(copy.start_time + threshold, [&, task, w] {
-        if (task->done || task->flagged || task->has_backup) return;
-        task->flagged = true;
-        result.speculation.stragglers_flagged += 1;
-        core.emit(obs::FlightEventKind::kStragglerFlagged, LifecycleEvent::Kind::kChunkStraggler,
-                  w, task->range);
-        for (std::size_t v = 0; v < processors; ++v) {
-          if (idle[v] && !dead[v]) {
-            idle[v] = 0;
-            launch_backup(v, task);
-            return;
-          }
-        }
-        stragglers.push_back(task);  // next idle worker picks it up
-      });
+      engine.schedule_at(copy.start_time + threshold, Event{Kind::kStraggler, w, task});
     }
     if (copy.lost) return;  // never completes; the crash event at crash_time reclaims it
     task->primary.completion =
-        engine.schedule_cancellable_at(copy.end_time, [&, task] { complete_copy(task, false); });
-  };
+        engine.schedule_cancellable_at(copy.end_time, Event{Kind::kComplete, w, task, false});
+  }
+
+  // The primary of `task` on worker w outlived its straggler threshold:
+  // host a backup on an idle worker, or queue it for the next one.
+  void flag_straggler(Task* task, std::size_t w) {
+    if (task->done || task->flagged || task->has_backup) return;
+    task->flagged = true;
+    core.result.speculation.stragglers_flagged += 1;
+    core.emit(obs::FlightEventKind::kStragglerFlagged, LifecycleEvent::Kind::kChunkStraggler, w,
+              task->range);
+    for (std::size_t v = 0; v < processors; ++v) {
+      if (idle[v] && !dead[v]) {
+        idle[v] = 0;
+        launch_backup(v, task);
+        return;
+      }
+    }
+    stragglers.push_back(task);  // next idle worker picks it up
+  }
 
   // Self-scheduling protocol: an idle worker requests a chunk; the chunk
   // completion event records feedback and triggers the next request. With
   // the pool empty the core's ladder offers a backup, then an audit.
-  request = [&](std::size_t w) {
+  void request(std::size_t w) {
     if (dead[w]) return;
-    if (core.quarantine_armed && health.quarantined(w)) {
+    if (core.quarantine_armed && core.health.quarantined(w)) {
       // Drained: no pool work, no backups, no audits. Canary probes arrive
       // through the probe timer. Deliberately NOT marked idle[], so the
       // give-back / straggler / audit wake scans skip this worker.
@@ -272,131 +342,113 @@ RunResult run_ideal_loop(const workload::Application& application, const SimConf
       return;
     }
     launch_task(w, range, /*is_probe=*/false);
-  };
-
-  if (total_parallel > 0) {
-    // Crash lifecycle events FIRST so that, on a timestamp tie, a worker is
-    // marked dead before any request or completion at the same instant.
-    for (std::size_t w = 0; w < processors; ++w) {
-      if (!workers[w].crashes()) continue;
-      engine.schedule_at(workers[w].crash_time, [&, w] {
-        dead[w] = 1;
-        core.flight.record(obs::FlightEventKind::kWorkerCrashed, engine.now(),
-                           static_cast<std::uint32_t>(w));
-        Task* task = running[w];
-        if (task == nullptr) return;
-        const bool is_backup = task->has_backup && task->backup.worker == w;
-        Copy& copy = is_backup ? task->backup : task->primary;
-        if (!copy.lost) return;  // completes exactly at crash time; allowed
-        running[w] = nullptr;
-        copy.lost = false;
-        core.charge_lost(w, task->range, is_backup, copy.dispatch_time, copy.start_time,
-                         copy.end_time);
-        // Exactly-once: the range returns to the pool ONLY when no other
-        // copy of the task can still deliver it (the winner already did, or
-        // a live/pending-reclaim sibling copy covers it).
-        const Copy& other = is_backup ? task->primary : task->backup;
-        if (task->done || (task->has_backup && (other.live || other.lost))) return;
-        task->done = true;
-        result.faults.iterations_reexecuted += task->range.count;
-        core.pool.give_back(task->range);
-        // Wake idle survivors for the returned iterations.
-        for (std::size_t v = 0; v < processors; ++v) {
-          if (!dead[v] && idle[v]) {
-            idle[v] = 0;
-            request(v);
-          }
-        }
-      });
-      if (std::isfinite(workers[w].recovery_time) && workers[w].recovery_time > serial_end) {
-        engine.schedule_at(workers[w].recovery_time, [&, w] {
-          dead[w] = 0;
-          core.flight.record(obs::FlightEventKind::kWorkerRecovered, engine.now(),
-                             static_cast<std::uint32_t>(w));
-          request(w);
-        });
-      }
-    }
-    // The two self-terminating timers below stop once the loop completed
-    // or no worker is alive or due back (stranded; the post-run check
-    // reports it) — they must stop rescheduling for the event queue to
-    // drain. The closures live in this scope and reschedule themselves by
-    // reference (a shared_ptr-owned std::function capturing its own owner
-    // would leak).
-    auto rescuable = [&] {
-      if (core.completed >= total_parallel) return false;
-      for (std::size_t v = 0; v < processors; ++v) {
-        if (!dead[v] || (std::isfinite(workers[v].recovery_time) &&
-                         workers[v].recovery_time > engine.now())) {
-          return true;
-        }
-      }
-      return false;
-    };
-    // Deadline-risk monitor: every check_interval, project the makespan
-    // from the realized completion rate and escalate the straggler quantile
-    // while Pr(makespan <= deadline) sits under the floor.
-    std::function<void()> risk_check;
-    std::function<void()> probe_tick;
-    if (config.deadline_risk.enabled) {
-      const double deadline = config.deadline_risk.deadline;
-      risk_check = [&, deadline] {
-        if (!rescuable()) return;
-        const double elapsed = engine.now() - serial_end;
-        if (core.completed > 0 && elapsed > 0.0) {
-          const double rate = static_cast<double>(core.completed) / elapsed;
-          const double remaining = static_cast<double>(total_parallel - core.completed);
-          const double projected = engine.now() + remaining / rate;
-          // CLT over the remaining iid iterations at the realized rate.
-          const double sigma =
-              std::max(1e-12, std::sqrt(remaining) * config.iteration_cov / rate);
-          const double p = stats::standard_normal_cdf((deadline - projected) / sigma);
-          if (p < config.deadline_risk.risk_floor &&
-              quantile > config.speculation.min_quantile) {
-            quantile = std::max(config.speculation.min_quantile,
-                                quantile * config.speculation.escalation_factor);
-            result.speculation.risk_escalations += 1;
-            core.emit_master(obs::FlightEventKind::kRiskEscalated,
-                             LifecycleEvent::Kind::kRiskEscalated,
-                             static_cast<std::int64_t>(result.speculation.risk_escalations));
-          }
-        }
-        engine.schedule_after(config.deadline_risk.check_interval, risk_check);
-      };
-      engine.schedule_at(serial_end + config.deadline_risk.check_interval, risk_check);
-    }
-    // Canary-probe timer: every probe_interval, each quarantined worker
-    // that is not already busy receives one chunk of real pool work (a
-    // canary: technique-sized, flagged `probe` so its completion feeds the
-    // recovery streak instead of the fail-slow EWMA). Created only when
-    // the gray machinery is armed, so disarmed runs schedule nothing.
-    if (core.quarantine_armed) {
-      probe_tick = [&] {
-        if (!rescuable()) return;
-        for (std::size_t w = 0; w < processors; ++w) {
-          if (health.quarantined(w) && !dead[w] && running[w] == nullptr && !core.auditing[w] &&
-              core.pool.pending() > 0) {
-            launch_task(w, core.grant(technique, w, /*probe=*/true, crash_mode, dead),
-                        /*is_probe=*/true);
-          }
-        }
-        engine.schedule_after(config.quarantine.probe_interval, probe_tick);
-      };
-      engine.schedule_at(serial_end + config.quarantine.probe_interval, probe_tick);
-    }
-    // All workers become available for parallel work once the serial
-    // portion completes on the master; workers already down then are
-    // skipped (their recovery event, if any, revives them).
-    engine.schedule_at(serial_end, [&] {
-      for (std::size_t w = 0; w < processors; ++w) request(w);
-    });
-    engine.run();
   }
 
-  core.check_stranded(crash_mode, core.pool.pending(),
-                      "with no surviving worker to re-dispatch to");
-  return core.finish_run(serial_end);
-}
+  void crash(std::size_t w) {
+    dead[w] = 1;
+    core.flight.record(obs::FlightEventKind::kWorkerCrashed, engine.now(),
+                       static_cast<std::uint32_t>(w));
+    Task* task = running[w];
+    if (task == nullptr) return;
+    const bool is_backup = task->has_backup && task->backup.worker == w;
+    Copy& copy = is_backup ? task->backup : task->primary;
+    if (!copy.lost) return;  // completes exactly at crash time; allowed
+    running[w] = nullptr;
+    copy.lost = false;
+    core.charge_lost(w, task->range, is_backup, copy.dispatch_time, copy.start_time,
+                     copy.end_time);
+    // Exactly-once: the range returns to the pool ONLY when no other
+    // copy of the task can still deliver it (the winner already did, or
+    // a live/pending-reclaim sibling copy covers it).
+    const Copy& other = is_backup ? task->primary : task->backup;
+    if (task->done || (task->has_backup && (other.live || other.lost))) return;
+    task->done = true;
+    core.result.faults.iterations_reexecuted += task->range.count;
+    core.pool.give_back(task->range);
+    // Wake idle survivors for the returned iterations.
+    for (std::size_t v = 0; v < processors; ++v) {
+      if (!dead[v] && idle[v]) {
+        idle[v] = 0;
+        request(v);
+      }
+    }
+  }
+
+  // The two timers stop once the loop completed or no worker is alive or
+  // due back (stranded; the post-run check reports it) — they must stop
+  // re-pushing themselves for the event queue to drain.
+  [[nodiscard]] bool rescuable() const {
+    if (core.completed >= total_parallel) return false;
+    for (std::size_t v = 0; v < processors; ++v) {
+      if (!dead[v] || (std::isfinite(workers[v].recovery_time) &&
+                       workers[v].recovery_time > engine.now())) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  // Deadline-risk monitor: every check_interval, project the makespan
+  // from the realized completion rate and escalate the straggler quantile
+  // while Pr(makespan <= deadline) sits under the floor.
+  void risk_check() {
+    if (!rescuable()) return;
+    const double elapsed = engine.now() - serial_end;
+    if (core.completed > 0 && elapsed > 0.0) {
+      const double rate = static_cast<double>(core.completed) / elapsed;
+      const double remaining = static_cast<double>(total_parallel - core.completed);
+      const double projected = engine.now() + remaining / rate;
+      // CLT over the remaining iid iterations at the realized rate.
+      const double sigma = std::max(1e-12, std::sqrt(remaining) * config.iteration_cov / rate);
+      const double p =
+          stats::standard_normal_cdf((config.deadline_risk.deadline - projected) / sigma);
+      if (p < config.deadline_risk.risk_floor && quantile > config.speculation.min_quantile) {
+        quantile = std::max(config.speculation.min_quantile,
+                            quantile * config.speculation.escalation_factor);
+        core.result.speculation.risk_escalations += 1;
+        core.emit_master(obs::FlightEventKind::kRiskEscalated,
+                         LifecycleEvent::Kind::kRiskEscalated,
+                         static_cast<std::int64_t>(core.result.speculation.risk_escalations));
+      }
+    }
+    engine.schedule_after(config.deadline_risk.check_interval, Event{Kind::kRiskCheck});
+  }
+
+  // Canary-probe timer: every probe_interval, each quarantined worker
+  // that is not already busy receives one chunk of real pool work (a
+  // canary: technique-sized, flagged `probe` so its completion feeds the
+  // recovery streak instead of the fail-slow EWMA).
+  void probe_tick() {
+    if (!rescuable()) return;
+    for (std::size_t w = 0; w < processors; ++w) {
+      if (core.health.quarantined(w) && !dead[w] && running[w] == nullptr &&
+          !core.auditing[w] && core.pool.pending() > 0) {
+        launch_task(w, core.grant(technique, w, /*probe=*/true, crash_mode, dead),
+                    /*is_probe=*/true);
+      }
+    }
+    engine.schedule_after(config.quarantine.probe_interval, Event{Kind::kProbeTick});
+  }
+
+  const SimConfig& config;
+  detail::PreparedRun& prepared;
+  dls::Technique& technique;
+  Engine<Event> engine;
+  detail::DispatchCore core;
+  const std::int64_t total_parallel;
+  std::vector<detail::Worker>& workers = prepared.workers;
+  const std::size_t processors = workers.size();
+  const bool crash_mode = detail::has_crash_failures(config);
+  std::vector<char> dead = std::vector<char>(processors, 0);
+  std::vector<char> idle = std::vector<char>(processors, 0);
+  std::vector<std::unique_ptr<Task>> tasks;  // stable addresses
+  std::vector<Task*> running = std::vector<Task*>(processors, nullptr);  // copy on worker w
+  std::deque<Task*> stragglers;  // flagged tasks awaiting an idle worker
+  // Live straggler threshold in sigmas; the deadline-risk monitor tightens
+  // it (affects chunks dispatched AFTER the escalation).
+  double quantile = config.speculation.quantile;
+  double serial_end = 0.0;
+};
 
 }  // namespace
 
@@ -417,7 +469,7 @@ RunResult simulate_loop(const workload::Application& application, std::size_t pr
   const std::unique_ptr<dls::Technique> technique = factory(prepared.params);
   if (technique == nullptr) throw std::invalid_argument("simulate_loop: factory returned null");
   technique->reset();
-  return run_ideal_loop(application, config, prepared, *technique, seed);
+  return IdealLoop(application, config, prepared, *technique, seed).run();
 }
 
 RunResult simulate_loop(const workload::Application& application, std::size_t processor_type,
@@ -479,7 +531,7 @@ RunResult simulate_loop_mixed(const workload::Application& application,
       detail::prepare_run(application, worker_types, availability, config, seed, /*mixed=*/true);
   const std::unique_ptr<dls::Technique> tech = dls::make_technique(technique, prepared.params);
   tech->reset();
-  return run_ideal_loop(application, config, prepared, *tech, seed);
+  return IdealLoop(application, config, prepared, *tech, seed).run();
 }
 
 TechniqueComparison compare_techniques(const workload::Application& application,

@@ -217,8 +217,8 @@ struct SimConfig {
   /// directly (zero detection latency); the MPI master only sees missing
   /// completion reports, so it arms a timeout per outstanding chunk and
   /// declares the worker dead after `max_probes` expirations with
-  /// exponential backoff. Only armed when a crash-kind failure is
-  /// configured, so non-crash runs are bit-identical to the legacy model.
+  /// exponential backoff. Armed only with a crash-kind failure, a faulty
+  /// channel, or checkpointing; other runs schedule no timeout.
   struct FaultDetection {
     /// When false, crash faults in the MPI model go undetected; a run that
     /// strands iterations then throws std::runtime_error instead of
@@ -336,7 +336,8 @@ struct SimConfig {
   /// lost, so workers must retransmit.
   struct MasterCheckpoint {
     bool enabled = false;
-    /// Snapshot period in simulated time (> 0).
+    /// Snapshot period in simulated time; must be > 0 whenever
+    /// checkpointing is on, by `enabled` or by a master fault.
     double interval = 500.0;
     /// When non-empty, the final checkpoint state (snapshot + WAL) is
     /// written to this path as schema-tagged JSON at the end of the run.

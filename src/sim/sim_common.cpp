@@ -61,7 +61,9 @@ void validate_config(const SimConfig& config) {
   if (!(ch.rto > 0.0) || !(ch.rto_backoff >= 1.0)) {
     throw std::invalid_argument("SimConfig: channel rto must be > 0 and rto_backoff >= 1");
   }
-  if (config.checkpoint.enabled && !(config.checkpoint.interval > 0.0)) {
+  // A master crash-restart turns checkpointing on as well.
+  if ((config.checkpoint.enabled || master_restart_failure(config) != nullptr) &&
+      !(config.checkpoint.interval > 0.0)) {
     throw std::invalid_argument("SimConfig: checkpoint interval must be > 0");
   }
   const SimConfig::Quarantine& q = config.quarantine;

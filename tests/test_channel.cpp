@@ -323,6 +323,30 @@ TEST(Channel, DegenerateKnobsAreRejected) {
   EXPECT_THROW(run(config), std::invalid_argument);
 }
 
+TEST(Channel, MasterFaultValidatesTheCheckpointInterval) {
+  // A master crash-restart turns checkpointing on even with
+  // checkpoint.enabled false, so its snapshot interval must be valid too.
+  const auto app = simple_app("a", 0, 100, {100.0});
+  SimConfig config = deterministic_config();
+  SimConfig::Failure master;
+  master.kind = SimConfig::FailureKind::kMasterCrashRestart;
+  master.time = 10.0;
+  master.recovery_time = 20.0;
+  config.failures.push_back(master);
+  ASSERT_FALSE(config.checkpoint.enabled);
+  for (const double interval : {0.0, -5.0}) {
+    config.checkpoint.interval = interval;
+    try {
+      (void)simulate_loop_mpi(app, 0, 2, full_availability(1), dls::TechniqueId::kFAC, config,
+                              MessageModel{}, 1);
+      ADD_FAILURE() << "interval " << interval << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("checkpoint interval"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Channel, DynamicManagerRejectsHardenedKnobs) {
   core::DynamicConfig config;
   config.applications = 2;
