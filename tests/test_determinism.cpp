@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "cdsf/dynamic_manager.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
@@ -22,6 +23,8 @@
 #include "sim/loop_executor.hpp"
 #include "sim/master_worker.hpp"
 #include "svc/journal.hpp"
+#include "svc/request.hpp"
+#include "svc/service.hpp"
 #include "sysmodel/cases.hpp"
 #include "test_support.hpp"
 
@@ -474,6 +477,189 @@ TEST(ExecutorGolden, MpiReplicatedSummaryAtOneAndFourThreads) {
         sim::MessageModel{}, kSeed, 8, kGoldenDeadline, threads);
     expect_digest(obs::to_json(summary, kGoldenDeadline).dump(1), 0x7d297d8f7e8fcbebULL);
   }
+}
+
+// ---------------------------------------------------- online-layer goldens --
+//
+// The scheduling service's Phase A and the dynamic manager are virtual-time
+// event loops like the Stage II transports. These digests pin every byte
+// they emit (service report, delivered reports, journal, flight record;
+// dynamic report and flight record), each on a stream or configuration
+// whose distinguishing path is asserted to have fired.
+
+/// Bytes of one service run: its report, every delivered report (with
+/// its id), the journal file and the flight record.
+std::string service_bytes(const svc::ServiceRunResult& result, const std::string& journal) {
+  std::string bytes = result.report.dump(1);
+  for (const auto& [id, document] : result.delivered_reports) {
+    bytes += std::to_string(id) + document.dump(1);
+  }
+  bytes += slurp(journal);
+  bytes += obs::flight_record_to_json(result.flight, obs::FlightAnomaly{}).dump(1);
+  return bytes;
+}
+
+svc::ServiceConfig golden_service(const GoldenScratch& scratch, std::uint64_t seed) {
+  svc::ServiceConfig config;
+  config.replications = 3;
+  config.seed = seed;
+  config.journal_path = scratch.path("journal.jsonl");
+  return config;
+}
+
+std::vector<svc::ScenarioRequest> golden_stream(std::size_t requests, double interarrival,
+                                                std::uint64_t seed,
+                                                double poison_fraction = 0.0) {
+  svc::StreamConfig config;
+  config.requests = requests;
+  config.mean_interarrival = interarrival;
+  config.seed = seed;
+  config.poison_fraction = poison_fraction;
+  return svc::make_scripted_stream(config);
+}
+
+TEST(ServiceGolden, HealthyStreamWithHedges) {
+  const GoldenScratch scratch("svc_hedges");
+  svc::ServiceConfig config = golden_service(scratch, 13);
+  config.solve_time_cov = 1.2;
+  config.hedge_min_delay = 1.0;
+  config.hedge_multiplier = 0.5;
+  config.hedge_warmup = 2;
+  const svc::ServiceRunResult result =
+      svc::SchedulingService(config).run(golden_stream(10, 3.0, 13));
+  ASSERT_TRUE(result.drained);
+  EXPECT_GT(result.hedges, 0u);
+  EXPECT_GT(result.hedge_wins, 0u);
+  expect_digest(service_bytes(result, config.journal_path), 0x492ba3a8b60ddbc3ULL);
+}
+
+TEST(ServiceGolden, HangAndPoisonStream) {
+  const GoldenScratch scratch("svc_hang_poison");
+  svc::ServiceConfig config = golden_service(scratch, 7);
+  config.hang_fraction = 0.4;
+  config.watchdog_timeout = 15.0;
+  const svc::ServiceRunResult result =
+      svc::SchedulingService(config).run(golden_stream(8, 3.0, 7, 0.3));
+  ASSERT_TRUE(result.drained);
+  EXPECT_GT(result.timeouts, 0u);
+  EXPECT_GT(result.poisoned, 0u);
+  EXPECT_GT(result.delivered, result.poisoned);
+  expect_digest(service_bytes(result, config.journal_path), 0xfa8134a85d2d94f2ULL);
+}
+
+TEST(ServiceGolden, CrashAndResume) {
+  const GoldenScratch scratch("svc_crash");
+  const std::vector<svc::ScenarioRequest> stream = golden_stream(6, 3.0, 29);
+  svc::ServiceConfig config = golden_service(scratch, 29);
+  config.crash_at = stream[3].arrival;
+  const svc::ServiceRunResult crashed = svc::SchedulingService(config).run(stream);
+  ASSERT_TRUE(crashed.crashed);
+  const std::string crashed_bytes = service_bytes(crashed, config.journal_path);
+
+  std::vector<svc::ScenarioRequest> resume = svc::load_journal(config.journal_path).unfinished();
+  ASSERT_FALSE(resume.empty());
+  for (const svc::ScenarioRequest& request : stream) {
+    for (const svc::RequestRecord& record : crashed.requests) {
+      if (record.id == request.id && record.outcome == svc::RequestOutcome::kNotArrived) {
+        resume.push_back(request);
+      }
+    }
+  }
+  config.crash_at = -1.0;
+  config.journal_truncate = false;
+  const svc::ServiceRunResult resumed = svc::SchedulingService(config).run(resume);
+  ASSERT_TRUE(resumed.drained);
+  EXPECT_GT(resumed.replayed, 0u);
+  expect_digest(crashed_bytes + service_bytes(resumed, config.journal_path), 0x9e31a8d314779845ULL);
+}
+
+TEST(ServiceGolden, BoundedStreamAtCapacity) {
+  const GoldenScratch scratch("svc_bounded");
+  svc::ServiceConfig config = golden_service(scratch, 19);
+  config.shards = 1;
+  config.mean_solve_time = 40.0;
+  config.solve_time_cov = 0.1;
+  config.admission.policy = core::AdmissionPolicy::kBoundedQueue;
+  config.admission.queue_capacity = 1;
+  const svc::ServiceRunResult result =
+      svc::SchedulingService(config).run(golden_stream(8, 1.0, 19));
+  ASSERT_TRUE(result.drained);
+  EXPECT_GT(result.admission.rejected, 0u);
+  EXPECT_EQ(result.admission.peak_queue_depth, 1u);
+  expect_digest(service_bytes(result, config.journal_path), 0xaae0bf1c0069314aULL);
+}
+
+/// Offered load well past capacity, with heterogeneous slack so EDF and
+/// FIFO queue orders differ.
+core::DynamicConfig golden_dynamic() {
+  core::DynamicConfig config;
+  config.applications = 20;
+  config.mean_interarrival = 100.0;
+  config.deadline_slack = 4000.0;
+  config.deadline_slack_spread = 0.25;
+  config.application_spec.processor_types = 2;
+  config.application_spec.min_total_iterations = 800;
+  config.application_spec.max_total_iterations = 3000;
+  config.application_spec.min_mean_time = 2000.0;
+  config.application_spec.max_mean_time = 8000.0;
+  return config;
+}
+
+std::string dynamic_bytes(const core::DynamicRunResult& result,
+                          const core::DynamicConfig& config) {
+  return obs::make_dynamic_report(result, config, sysmodel::paper_platform()).dump(1) +
+         obs::flight_record_to_json(result.flight, obs::FlightAnomaly{}).dump(1);
+}
+
+core::DynamicRunResult run_dynamic(const core::DynamicConfig& config,
+                                   const sysmodel::AvailabilitySpec& runtime) {
+  return core::run_dynamic_manager(sysmodel::paper_platform(), sysmodel::paper_case(1),
+                                   runtime, config, 7);
+}
+
+TEST(DynamicGolden, AcceptAll) {
+  const core::DynamicConfig config = golden_dynamic();
+  const core::DynamicRunResult result = run_dynamic(config, sysmodel::paper_case(1));
+  EXPECT_EQ(result.admission.admitted, config.applications);
+  EXPECT_GT(result.mean_queueing_delay, 0.0);
+  expect_digest(dynamic_bytes(result, config), 0x384e465b5686d697ULL);
+}
+
+TEST(DynamicGolden, BoundedEdfWithShedFloorAndLadder) {
+  const GoldenScratch scratch("dynamic_bounded");
+  core::DynamicConfig config = golden_dynamic();
+  config.applications = 30;
+  config.mean_interarrival = 50.0;
+  config.admission.policy = core::AdmissionPolicy::kBoundedQueue;
+  config.admission.queue_capacity = 6;
+  config.admission.queue_order = core::QueueOrder::kEdf;
+  config.admission.shed_floor = 0.5;
+  config.admission.ladder = true;
+  config.admission.ladder_alpha = 0.4;
+  config.admission.overload_threshold = 0.7;
+  config.admission.recover_threshold = 0.3;
+  const core::DynamicRunResult result = run_dynamic(config, sysmodel::paper_case(1));
+  EXPECT_GT(result.admission.shed, 0u);
+  EXPECT_GT(result.admission.ladder_steps, 0u);
+  EXPECT_GT(result.admission.queued, 0u);
+  expect_digest(dynamic_bytes(result, config), 0x1a8952c7aaa3f858ULL);
+}
+
+TEST(DynamicGolden, Rho2AdmissionWithRemap) {
+  const GoldenScratch scratch("dynamic_rho2");
+  core::DynamicConfig config = golden_dynamic();
+  config.remap_on_rho2 = true;
+  config.rho2 = 0.05;
+  config.admission.policy = core::AdmissionPolicy::kRho2Aware;
+  config.admission.queue_capacity = 4;
+  config.admission.queue_order = core::QueueOrder::kEdf;
+  config.admission.admit_floor = 0.5;
+  config.admission.shed_floor = 0.1;
+  const core::DynamicRunResult result = run_dynamic(config, sysmodel::paper_case(4));
+  EXPECT_TRUE(result.remap_triggered);
+  EXPECT_GT(result.admission.rejected, 0u);
+  EXPECT_GT(result.admission.admitted, 0u);
+  expect_digest(dynamic_bytes(result, config), 0x447cd01f3bd2c93fULL);
 }
 
 TEST(Determinism, MetricsSnapshotOrderIsInsertionOrderInvariant) {
