@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <queue>
 #include <stdexcept>
 #include <string>
 
 #include "obs/metrics.hpp"
 #include "pmf/ops.hpp"
+#include "sim/engine.hpp"
 #include "sim/sim_common.hpp"
 #include "util/rng.hpp"
 
@@ -203,8 +203,8 @@ DynamicRunResult run_dynamic_manager(const sysmodel::Platform& platform,
     }
   }
 
-  // Event-driven manager: arrivals and completions interleave; completions
-  // free processors and trigger queued allocations.
+  // Event-driven manager: arrivals and completions interleave on one
+  // engine; completions free processors and trigger queued allocations.
   std::vector<std::size_t> free_processors(platform.type_count());
   std::vector<std::size_t> full_capacity(platform.type_count());
   for (std::size_t j = 0; j < platform.type_count(); ++j) {
@@ -212,13 +212,13 @@ DynamicRunResult run_dynamic_manager(const sysmodel::Platform& platform,
     full_capacity[j] = free_processors[j];
   }
 
-  struct Completion {
-    double time;
+  enum class EventKind : std::uint8_t { kArrival, kCompletion };
+  struct Event {
+    EventKind kind;
     std::size_t app;
-    ra::GroupAssignment group;
-    bool operator>(const Completion& other) const { return time > other.time; }
   };
-  std::priority_queue<Completion, std::vector<Completion>, std::greater<>> completions;
+  sim::Engine<Event> engine;
+  std::size_t running_groups = 0;
   std::deque<std::size_t> waiting;
 
   DynamicRunResult result;
@@ -228,7 +228,6 @@ DynamicRunResult run_dynamic_manager(const sysmodel::Platform& platform,
   for (std::size_t i = 0; i < config.applications; ++i) {
     result.outcomes[i].deadline_slack = slack[i];
   }
-  std::size_t next_arrival = 0;
   double busy_processor_time = 0.0;
 
   // Admission state. shed_budget caches, per queued application, the
@@ -352,7 +351,8 @@ DynamicRunResult run_dynamic_manager(const sysmodel::Platform& platform,
     outcome.completion_time = now + run.makespan;
     outcome.met_deadline = outcome.completion_time <= deadline_of(app_index);
     busy_processor_time += static_cast<double>(choice.group.processors) * run.makespan;
-    completions.push(Completion{outcome.completion_time, app_index, choice.group});
+    engine.schedule_at(outcome.completion_time, Event{EventKind::kCompletion, app_index});
+    ++running_groups;
     if (admission_active) {
       service_ewma = service_seen ? 0.3 * run.makespan + 0.7 * service_ewma : run.makespan;
       service_seen = true;
@@ -398,7 +398,7 @@ DynamicRunResult run_dynamic_manager(const sysmodel::Platform& platform,
       // after an estimated queue wait (realized-service EWMA x backlog,
       // spread over the groups currently running).
       const double parallel_groups =
-          static_cast<double>(std::max<std::size_t>(1, completions.size()));
+          static_cast<double>(std::max<std::size_t>(1, running_groups));
       const double wait_estimate =
           service_seen
               ? service_ewma * static_cast<double>(waiting.size()) / parallel_groups
@@ -452,34 +452,35 @@ DynamicRunResult run_dynamic_manager(const sysmodel::Platform& platform,
     stats.peak_queue_depth = std::max<std::uint64_t>(stats.peak_queue_depth, waiting.size());
   };
 
-  while (next_arrival < config.applications || !completions.empty() || !waiting.empty()) {
-    const double next_arrival_time =
-        next_arrival < config.applications ? arrivals[next_arrival] : 1e300;
-    const double next_completion_time = completions.empty() ? 1e300 : completions.top().time;
-
-    if (next_arrival_time <= next_completion_time) {
-      const std::size_t app_index = next_arrival++;
-      result.outcomes[app_index].arrival_time = arrivals[app_index];
+  // Every arrival is scheduled up front, in index order, so it precedes any
+  // completion at the same time (completions are scheduled later).
+  for (std::size_t i = 0; i < config.applications; ++i) {
+    engine.schedule_at(arrivals[i], Event{EventKind::kArrival, i});
+  }
+  engine.run([&](const Event& event) {
+    const double now = engine.now();
+    if (event.kind == EventKind::kArrival) {
+      result.outcomes[event.app].arrival_time = now;
       ++stats.arrivals;
       if (admission_active) {
-        shed_stale(arrivals[app_index]);
-        admit_arrival(app_index, arrivals[app_index]);
-      } else if (!waiting.empty() || !try_allocate(app_index, arrivals[app_index])) {
-        waiting.push_back(app_index);  // preserve FIFO order
+        shed_stale(now);
+        admit_arrival(event.app, now);
+      } else if (!waiting.empty() || !try_allocate(event.app, now)) {
+        waiting.push_back(event.app);  // preserve FIFO order
       }
-    } else {
-      const Completion done = completions.top();
-      completions.pop();
-      free_processors[done.group.processor_type] += done.group.processors;
-      result.horizon = std::max(result.horizon, done.time);
-      // Drain the queue as far as the freed resources allow (head-of-line:
-      // the front blocks the rest, in FIFO or EDF order alike).
-      shed_stale(done.time);
-      while (!waiting.empty() && try_allocate(waiting.front(), done.time)) {
-        waiting.pop_front();
-      }
+      return;
     }
-  }
+    const ra::GroupAssignment& group = result.outcomes[event.app].group;
+    free_processors[group.processor_type] += group.processors;
+    --running_groups;
+    result.horizon = now;
+    // Drain the queue as far as the freed resources allow (head-of-line:
+    // the front blocks the rest, in FIFO or EDF order alike).
+    shed_stale(now);
+    while (!waiting.empty() && try_allocate(waiting.front(), now)) {
+      waiting.pop_front();
+    }
+  });
 
   std::size_t hits = 0;
   std::size_t admitted_hits = 0;

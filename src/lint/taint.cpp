@@ -31,7 +31,6 @@ bool file_wide_exempt(const SourceFile& file) {
 bool trusted_file(const SourceFile& file) {
   const std::string path = normalize_path(file.path());
   if (ends_with(path, "util/rng.hpp")) return true;
-  if (ends_with(path, "svc/virtual_time.hpp")) return true;
   if (has_segment(path, "obs")) return true;
   return file_wide_exempt(file);
 }
@@ -176,7 +175,7 @@ TaintResult check_determinism_taint(const ProjectIndex& index) {
     const std::size_t callee = queue.front();
     queue.pop_front();
     // Trusted callers absorb taint rather than propagate it: a clock read
-    // wrapped by util/rng.hpp or virtual_time.hpp is the sanctioned path.
+    // wrapped by util/rng.hpp is the sanctioned path.
     for (const auto& [caller, line] : callers[callee]) {
       if (tainted[caller]) continue;
       if (trusted_file(*index.files[index.functions[caller].file])) continue;
@@ -214,7 +213,7 @@ TaintResult check_determinism_taint(const ProjectIndex& index) {
          "'" + def.display + "' transitively reaches a host clock/RNG source: " + chain +
              " (" + index.files[seed_def.file]->path() + ":" + std::to_string(seed.line) +
              " uses " + seed.token + "); route time/randomness through the simulation "
-             "clock, util::RngStream, or svc/virtual_time.hpp",
+             "clock or util::RngStream",
          false, kTaintPass});
   }
 

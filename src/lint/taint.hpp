@@ -12,9 +12,9 @@
 // in the message.
 //
 // Trusted sources never seed and are never flagged: util/rng.hpp (the
-// seeded RNG fan-out), svc/virtual_time.hpp (the sanctioned clock), all of
-// obs/ (timestamps are observability metadata, excluded from byte-compare
-// scopes), and files that file-wide-allow the underlying lexical rule.
+// seeded RNG fan-out), all of obs/ (timestamps are observability metadata,
+// excluded from byte-compare scopes), and files that file-wide-allow the
+// underlying lexical rule.
 // Call resolution is conservative: same-file definitions win, src/ callers
 // only bind to src/ definitions, and an ambiguous name (multiple unrelated
 // definitions) resolves to nothing rather than guessing.

@@ -69,8 +69,11 @@ class Allocation {
                                                          const sysmodel::Platform& platform,
                                                          CountRule rule);
 
-/// Number of feasible allocations without materializing them (for sizing
-/// reports in the large-scale bench).
+/// Number of feasible allocations without materializing them, by dynamic
+/// programming over per-type capacity (polynomial in the batch size and
+/// the capacities). Exact whenever the count fits in std::size_t;
+/// saturates at its maximum otherwise. Throws std::invalid_argument if
+/// applications == 0.
 [[nodiscard]] std::size_t count_feasible(std::size_t applications,
                                          const sysmodel::Platform& platform, CountRule rule);
 

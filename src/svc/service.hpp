@@ -10,7 +10,8 @@
 //
 // Determinism is the load-bearing design decision. A run is TWO phases:
 //
-//   Phase A — a serial event loop on virtual time (svc/virtual_time.hpp).
+//   Phase A — a serial event loop on virtual time: a sim::Engine whose
+//   clock only dispatched events advance (the service reads no host clock).
 //   Arrivals, admission, shard queueing, solve durations (drawn from a
 //   per-(seed, id, attempt) RNG — an injected hang is an infinite draw),
 //   watchdog firings, hedge launches, first-finisher-wins races, poison
@@ -161,7 +162,8 @@ class SchedulingService {
 
   /// Runs the stream to drain (or to crash_at). `requests` need not be
   /// sorted; replayed requests (replayed == true) are not re-journaled.
-  /// Throws std::invalid_argument on duplicate request ids.
+  /// Throws std::invalid_argument on duplicate request ids and on a
+  /// negative or non-finite arrival (replayed journals are outside input).
   [[nodiscard]] ServiceRunResult run(std::vector<ScenarioRequest> requests);
 
   /// The Phase B cancellation token: cancelling it makes every real

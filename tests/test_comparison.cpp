@@ -124,14 +124,22 @@ TEST(BranchAndBound, MatchesExhaustiveOnRandomInstances) {
   spec.processor_types = 2;
   spec.min_mean_time = 2000.0;
   spec.max_mean_time = 12000.0;
-  for (std::uint64_t seed : {1ull, 2ull, 3ull, 4ull, 5ull}) {
-    const workload::Batch batch = workload::generate_batch(spec, seed);
-    const ra::RobustnessEvaluator evaluator(batch, avail, 9000.0);
-    const double exact = evaluator.joint_probability(ra::BranchAndBoundOptimal().allocate(
-        evaluator, platform, ra::CountRule::kPowerOfTwo));
-    const double brute = evaluator.joint_probability(ra::ExhaustiveOptimal().allocate(
-        evaluator, platform, ra::CountRule::kPowerOfTwo));
-    EXPECT_NEAR(exact, brute, 1e-9) << "seed=" << seed;
+  // A loose deadline saturates phi_1, so only the tie-break separates
+  // allocations there.
+  for (const double deadline : {9000.0, 1e6}) {
+    for (std::uint64_t seed : {1ull, 2ull, 3ull, 4ull, 5ull, 6ull, 7ull, 8ull}) {
+      const workload::Batch batch = workload::generate_batch(spec, seed);
+      const ra::RobustnessEvaluator evaluator(batch, avail, deadline);
+      const ra::Allocation exact = ra::BranchAndBoundOptimal().allocate(
+          evaluator, platform, ra::CountRule::kPowerOfTwo);
+      const ra::Allocation brute = ra::ExhaustiveOptimal().allocate(
+          evaluator, platform, ra::CountRule::kPowerOfTwo);
+      EXPECT_NEAR(evaluator.joint_probability(exact), evaluator.joint_probability(brute), 1e-9)
+          << "deadline=" << deadline << " seed=" << seed;
+      // Same tie-break, so the same allocation, not just the same phi_1.
+      EXPECT_EQ(exact, brute) << "deadline=" << deadline << " seed=" << seed << ": " << exact.to_string(platform) << " vs "
+                              << brute.to_string(platform);
+    }
   }
 }
 

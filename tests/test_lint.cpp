@@ -161,14 +161,14 @@ TEST(LintRules, SvcWallClockFiresEverywhereInSvcButTheVirtualTimeSource) {
       "#include <chrono>\n"
       "auto t = std::chrono::steady_clock::now();\n"
       "long u = time(nullptr);\n"
-      "long v = clock.now();\n";  // member call: the VirtualClock, not libc
-  const LintResult svc_hit = lint_text("src/svc/service.cpp", text);
-  EXPECT_EQ(rule_lines(svc_hit.violations),
-            (std::vector<std::pair<std::string, std::size_t>>{{"svc-wall-clock", 2},
-                                                              {"svc-wall-clock", 3}}));
-  // The one sanctioned time source is exempt; non-svc paths are not this
-  // rule's business (src/sim etc. are WallClockRule's).
-  EXPECT_TRUE(lint_text("src/svc/virtual_time.hpp", text).violations.empty());
+      "long v = engine.now();\n";  // member call: the event engine, not libc
+  const std::vector<std::pair<std::string, std::size_t>> expected{{"svc-wall-clock", 2},
+                                                                  {"svc-wall-clock", 3}};
+  EXPECT_EQ(rule_lines(lint_text("src/svc/service.cpp", text).violations), expected);
+  // No svc/ file is exempt (the service's only clock is its event engine);
+  // non-svc paths are not this rule's business (src/sim etc. are
+  // WallClockRule's).
+  EXPECT_EQ(rule_lines(lint_text("src/svc/virtual_time.hpp", text).violations), expected);
   EXPECT_TRUE(lint_text("src/obs/x.cpp", text).violations.empty());
   const LintResult sim_hit = lint_text("src/sim/x.cpp", text);
   for (const Diagnostic& diagnostic : sim_hit.violations) {
