@@ -414,6 +414,9 @@ std::vector<MetricLiteral> extract_metric_literals(const SourceFile& file, std::
     out.push_back(
         {std::string(raw.substr(pos + 1, end - pos - 1)), file_id, file.line_of(pos)});
   };
+  // Registry mutators whose first argument is the metric name. A
+  // non-literal first argument means either a different API (Batch::add,
+  // StreamingSummary::add) or a computed name the lexer cannot judge.
   static constexpr std::array<std::string_view, 4> kMembers = {"add", "observe", "set_gauge",
                                                                "set_histogram_bounds"};
   for (const std::string_view member : kMembers) {
@@ -425,10 +428,14 @@ std::vector<MetricLiteral> extract_metric_literals(const SourceFile& file, std::
       record_at(skip_ws(text, open + 1));
     }
   }
+  // ScopedTimer carries its metric name as the first string literal of
+  // the constructor argument list (the registry reference precedes it).
   static constexpr std::string_view kTimer = "ScopedTimer";
   for (std::size_t pos = find_word(text, kTimer); pos != std::string_view::npos;
        pos = find_word(text, kTimer, pos + 1)) {
     std::size_t open = skip_ws(text, pos + kTimer.size());
+    // A declaration (`ScopedTimer t(...)`) puts the variable name between
+    // the type and the argument list; skip it to reach the open paren.
     if (open < text.size() && is_ident_char(text[open])) {
       std::size_t name_end = open;
       while (name_end < text.size() && is_ident_char(text[name_end])) ++name_end;
