@@ -8,18 +8,22 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <limits>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "cdsf/dynamic_manager.hpp"
+#include "cdsf/paper_example.hpp"
+#include "cdsf/solve.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
+#include "ra/heuristics.hpp"
 #include "sim/loop_executor.hpp"
 #include "sim/master_worker.hpp"
 #include "svc/journal.hpp"
@@ -27,6 +31,7 @@
 #include "svc/service.hpp"
 #include "sysmodel/cases.hpp"
 #include "test_support.hpp"
+#include "workload/generator.hpp"
 
 namespace cdsf {
 namespace {
@@ -660,6 +665,157 @@ TEST(DynamicGolden, Rho2AdmissionWithRemap) {
   EXPECT_GT(result.admission.rejected, 0u);
   EXPECT_GT(result.admission.admitted, 0u);
   expect_digest(dynamic_bytes(result, config), 0x447cd01f3bd2c93fULL);
+}
+
+// ------------------------------------------------------- Stage I goldens --
+//
+// Pinned FNV-1a digests of every Stage I search's output: each heuristic's
+// allocation and phi_1 (hex-float), branch and bound's visited-node count,
+// and the enumeration order of the allocation tree. A refactor of the
+// searches that moves one leaf, one tie-break or one pruned node changes a
+// digest here.
+
+/// The heuristics whose allocations the Stage I goldens pin, in a fixed
+/// order: every heuristic, the exact searches and the portfolio.
+std::vector<std::unique_ptr<ra::Heuristic>> golden_heuristics() {
+  std::vector<std::unique_ptr<ra::Heuristic>> heuristics = ra::all_heuristics(true);
+  heuristics.push_back(std::make_unique<ra::BestOfPortfolio>());
+  return heuristics;
+}
+
+std::string allocation_bytes(const ra::Allocation& allocation) {
+  std::string bytes;
+  for (const ra::GroupAssignment& group : allocation.groups()) {
+    bytes += std::to_string(group.processor_type) + 'x' + std::to_string(group.processors) + ';';
+  }
+  return bytes;
+}
+
+/// One instance's bytes: every heuristic's allocation and phi_1, then
+/// branch and bound's allocation and node count. Returns the exhaustive
+/// phi_1 through `optimum` so callers can assert which regime fired.
+std::string stage_one_bytes(const ra::RobustnessEvaluator& evaluator,
+                            const sysmodel::Platform& platform, ra::CountRule rule,
+                            double* optimum = nullptr) {
+  std::ostringstream out;
+  out << std::hexfloat;
+  for (const auto& heuristic : golden_heuristics()) {
+    const ra::Allocation allocation = heuristic->allocate(evaluator, platform, rule);
+    EXPECT_TRUE(allocation.fits(platform)) << heuristic->name();
+    const double phi1 = evaluator.joint_probability(allocation);
+    if (optimum != nullptr && heuristic->name() == "ExhaustiveOptimal") *optimum = phi1;
+    out << heuristic->name() << ' ' << allocation_bytes(allocation) << ' ' << phi1 << '\n';
+  }
+  ra::BranchAndBoundOptimal bnb;
+  const ra::Allocation exact = bnb.allocate(evaluator, platform, rule);
+  EXPECT_GT(bnb.last_nodes_visited(), 0u);
+  out << "BranchAndBoundOptimal " << allocation_bytes(exact) << ' '
+      << evaluator.joint_probability(exact) << " nodes " << bnb.last_nodes_visited() << '\n';
+  return out.str();
+}
+
+std::string enumeration_bytes(std::size_t applications, const sysmodel::Platform& platform,
+                              ra::CountRule rule) {
+  const std::vector<ra::Allocation> all = ra::enumerate_feasible(applications, platform, rule);
+  EXPECT_EQ(all.size(), ra::count_feasible(applications, platform, rule));
+  std::string bytes;
+  for (const ra::Allocation& allocation : all) bytes += allocation_bytes(allocation) + '\n';
+  return bytes;
+}
+
+std::string paper_stage_one_bytes(ra::CountRule rule) {
+  const core::PaperExample example = core::make_paper_example();
+  const ra::RobustnessEvaluator evaluator(example.batch, example.cases.front(),
+                                          example.deadline);
+  double optimum = 0.0;
+  std::string bytes = stage_one_bytes(evaluator, example.platform, rule, &optimum);
+  EXPECT_GT(optimum, 0.0);
+  EXPECT_LT(optimum, 1.0);
+  return bytes + enumeration_bytes(example.batch.size(), example.platform, rule);
+}
+
+TEST(StageOneGolden, PaperExamplePowerOfTwo) {
+  const std::string bytes = paper_stage_one_bytes(ra::CountRule::kPowerOfTwo);
+  EXPECT_NE(bytes.find("ExhaustiveOptimal " +
+                       allocation_bytes(core::paper_robust_allocation())),
+            std::string::npos);
+  expect_digest(bytes, 0x3550036357631121ULL);
+}
+
+TEST(StageOneGolden, PaperExampleAnyCount) {
+  expect_digest(paper_stage_one_bytes(ra::CountRule::kAny), 0xc61ca39ce1c3aff8ULL);
+}
+
+/// Generated 4-application batches (seeds 1-8) on a 4 + 8 processor
+/// platform, small enough for ExhaustiveOptimal, under both count rules.
+/// Every instance's exhaustive phi_1 must satisfy `regime`.
+template <typename Regime>
+std::string generated_stage_one_bytes(double deadline, Regime regime) {
+  const sysmodel::Platform platform({{"a", 4}, {"b", 8}});
+  const sysmodel::AvailabilitySpec availability(
+      "mixed", {pmf::Pmf::from_pulses({{0.6, 0.5}, {1.0, 0.5}}),
+                pmf::Pmf::from_pulses({{0.3, 0.25}, {0.6, 0.25}, {1.0, 0.5}})});
+  workload::BatchSpec spec;
+  spec.applications = 4;
+  spec.processor_types = 2;
+  spec.min_mean_time = 2000.0;
+  spec.max_mean_time = 12000.0;
+  std::string bytes;
+  for (const ra::CountRule rule : {ra::CountRule::kPowerOfTwo, ra::CountRule::kAny}) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      const workload::Batch batch = workload::generate_batch(spec, seed);
+      const ra::RobustnessEvaluator evaluator(batch, availability, deadline);
+      double optimum = -1.0;
+      bytes += stage_one_bytes(evaluator, platform, rule, &optimum);
+      EXPECT_TRUE(regime(optimum)) << "seed " << seed << " phi_1 " << optimum;
+    }
+    bytes += enumeration_bytes(spec.applications, platform, rule);
+  }
+  return bytes;
+}
+
+TEST(StageOneGolden, GeneratedTightDeadline) {
+  // phi_1 = 0 for every allocation: only the tie-break ranks them.
+  expect_digest(generated_stage_one_bytes(150.0, [](double phi1) { return phi1 == 0.0; }),
+                0x4f6a85d4752f03c2ULL);
+}
+
+TEST(StageOneGolden, GeneratedMiddleDeadline) {
+  expect_digest(generated_stage_one_bytes(
+                    5000.0, [](double phi1) { return phi1 > 0.0 && phi1 < 1.0; }),
+                0x5c1cd81f5aa2faf7ULL);
+}
+
+TEST(StageOneGolden, GeneratedSaturatedDeadline) {
+  expect_digest(generated_stage_one_bytes(1e6, [](double phi1) { return phi1 == 1.0; }),
+                0x1ae30808c4258702ULL);
+}
+
+TEST(StageOneGolden, PortfolioSolveAboveTheExhaustiveLimit) {
+  // Six applications on 3 x 8 processors: past the exhaustive limit, so
+  // solve_on ships BestOfPortfolio's allocation.
+  workload::BatchSpec spec;
+  spec.applications = 6;
+  spec.processor_types = 3;
+  spec.min_total_iterations = 200;
+  spec.max_total_iterations = 400;
+  core::Scenario scenario;
+  scenario.platform = sysmodel::Platform({{"a", 8}, {"b", 8}, {"c", 8}});
+  scenario.batch = workload::generate_batch(spec, 1);
+  scenario.cases.push_back(sysmodel::AvailabilitySpec(
+      "mixed", {pmf::Pmf::from_pulses({{0.6, 0.5}, {1.0, 0.5}}), pmf::Pmf::delta(0.8),
+                pmf::Pmf::from_pulses({{0.3, 0.25}, {0.6, 0.25}, {1.0, 0.5}})}));
+  scenario.deadline = 8000.0;
+  core::SolveOptions options;
+  options.replications = 1;
+  const core::SolveOutcome outcome = core::solve_scenario(scenario, options);
+  ASSERT_GT(outcome.feasible_space, options.exhaustive_space_limit);
+  const core::StageOneResult& stage_one = outcome.scenario.stage_one;
+  EXPECT_EQ(stage_one.heuristic_name, "BestOfPortfolio");
+  EXPECT_GT(stage_one.phi1, 0.0);
+  std::ostringstream out;
+  out << std::hexfloat << allocation_bytes(stage_one.allocation) << ' ' << stage_one.phi1;
+  expect_digest(out.str(), 0x9c95123e782b5fe0ULL);
 }
 
 TEST(Determinism, MetricsSnapshotOrderIsInsertionOrderInvariant) {
