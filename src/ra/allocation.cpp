@@ -1,9 +1,10 @@
 #include "ra/allocation.hpp"
 
-#include <functional>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+
+#include "ra/allocation_walk.hpp"
 
 namespace cdsf::ra {
 
@@ -59,28 +60,6 @@ std::vector<std::size_t> candidate_counts(std::size_t capacity, CountRule rule) 
 
 namespace {
 
-/// Depth-first enumeration over applications; `sink` receives each complete
-/// feasible allocation.
-void enumerate_recursive(std::size_t app, std::size_t applications,
-                         const sysmodel::Platform& platform, CountRule rule,
-                         std::vector<std::size_t>& remaining,
-                         std::vector<GroupAssignment>& current,
-                         const std::function<void(const std::vector<GroupAssignment>&)>& sink) {
-  if (app == applications) {
-    sink(current);
-    return;
-  }
-  for (std::size_t type = 0; type < platform.type_count(); ++type) {
-    for (std::size_t count : candidate_counts(remaining[type], rule)) {
-      remaining[type] -= count;
-      current.push_back(GroupAssignment{type, count});
-      enumerate_recursive(app + 1, applications, platform, rule, remaining, current, sink);
-      current.pop_back();
-      remaining[type] += count;
-    }
-  }
-}
-
 constexpr std::size_t kSaturated = std::numeric_limits<std::size_t>::max();
 
 std::size_t saturating_add(std::size_t a, std::size_t b) {
@@ -102,16 +81,10 @@ std::vector<Allocation> enumerate_feasible(std::size_t applications,
     throw std::invalid_argument("enumerate_feasible: applications must be >= 1");
   }
   std::vector<Allocation> result;
-  std::vector<std::size_t> remaining(platform.type_count());
-  for (std::size_t j = 0; j < platform.type_count(); ++j) {
-    remaining[j] = platform.processors_of_type(j);
-  }
-  std::vector<GroupAssignment> current;
-  current.reserve(applications);
-  enumerate_recursive(0, applications, platform, rule, remaining, current,
-                      [&result](const std::vector<GroupAssignment>& groups) {
-                        result.emplace_back(groups);
-                      });
+  detail::walk_allocations(
+      applications, platform, detail::count_table(platform, rule),
+      [](std::size_t, const GroupAssignment&) { return true; },
+      [&result](const std::vector<GroupAssignment>& groups) { result.emplace_back(groups); });
   return result;
 }
 

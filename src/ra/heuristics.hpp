@@ -3,9 +3,10 @@
 //   NaiveLoadBalance  — the paper's "naive IM": every application receives
 //                       an equal share of processors; among the equal-share
 //                       allocations the one with the highest phi_1 is kept.
-//   ExhaustiveOptimal — the paper's "robust IM": enumerate every feasible
-//                       allocation and keep the argmax of phi_1. Feasible
-//                       only at small scale.
+//   ExhaustiveOptimal — the paper's "robust IM": walk every feasible
+//                       allocation and keep the argmax of phi_1 (ties:
+//                       the exact order below). Feasible only at small
+//                       scale.
 // Scalable heuristics (the paper's stated future work; baselines built from
 // the literature it cites):
 //   GreedyRobustness  — steepest-ascent local search on phi_1: start from
@@ -23,6 +24,13 @@
 //                       group.
 //   SimulatedAnnealing— Metropolis search over feasible allocations on
 //                       phi_1; seeded and deterministic.
+//
+// The exact searches (ExhaustiveOptimal, BranchAndBoundOptimal) rank
+// allocations by one order: higher phi_1; phi_1 within 1e-9 of the best so
+// far ties, and ties go to the smaller total expected completion time, then
+// (that within 1e-9 too) to fewer processors; among equals the first in walk
+// order wins. The local searches share one neighbourhood: the groups one
+// application can move to with every other group fixed.
 //
 // All heuristics guarantee a returned allocation is feasible and complete,
 // or throw std::runtime_error when the instance admits no feasible
@@ -60,6 +68,8 @@ class NaiveLoadBalance final : public Heuristic {
                                     CountRule rule) const override;
 };
 
+/// Streams every leaf of the allocation walk through the exact order above
+/// (the space is never materialized); the oracle for the other searches.
 class ExhaustiveOptimal final : public Heuristic {
  public:
   [[nodiscard]] std::string name() const override { return "ExhaustiveOptimal"; }
@@ -68,13 +78,11 @@ class ExhaustiveOptimal final : public Heuristic {
                                     CountRule rule) const override;
 };
 
-/// Exact optimum via branch and bound: depth-first over applications with
-/// an admissible capacity-relaxed bound — a branch is cut when
-/// (product so far) x (each remaining application's best probability over
-/// the FULL platform) cannot beat the incumbent. Returns the same phi_1 as
-/// ExhaustiveOptimal (same probability-then-expected-time tie-breaking)
-/// while visiting a fraction of the tree; extends exact Stage I a few
-/// applications beyond where plain enumeration stops being viable.
+/// ExhaustiveOptimal's walk and order plus an admissible capacity-relaxed
+/// bound: a subtree is skipped when (product so far) x (each remaining
+/// application's best probability over the FULL platform) falls more than
+/// 1e-9 below the incumbent's phi_1. Every skipped leaf would lose, so it
+/// returns ExhaustiveOptimal's allocation from a fraction of the tree.
 class BranchAndBoundOptimal final : public Heuristic {
  public:
   [[nodiscard]] std::string name() const override { return "BranchAndBoundOptimal"; }
