@@ -171,7 +171,7 @@ DynamicRunResult run_dynamic_manager(const sysmodel::Platform& platform,
   // Manager-level flight recording (master track only): admission
   // rejections, sheds, and ladder transitions. Structurally inert under
   // accept-all, so default runs stay byte-identical.
-  obs::FlightRecorder flight(0, config.sim.flight.track_capacity,
+  obs::FlightRecorder flight(0, obs::kFlightTrackCapacity,
                              admission_active && config.sim.flight.enabled &&
                                  obs::flight_recording_enabled());
 

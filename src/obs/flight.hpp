@@ -42,6 +42,9 @@ inline constexpr const char* kFlightRecordSchema = "cdsf.flight_record/1";
 /// WAL, checkpoint/restart) that have no single worker.
 inline constexpr std::uint32_t kFlightMasterTrack = 0xFFFFFFFFu;
 
+/// Ring capacity of every track (executors, dynamic manager, service).
+inline constexpr std::size_t kFlightTrackCapacity = 64;
+
 /// Structured event kinds. Names (see flight_event_name) are part of the
 /// cdsf.flight_record/1 schema; append, don't renumber.
 enum class FlightEventKind : std::uint8_t {

@@ -21,7 +21,7 @@ DispatchCore::DispatchCore(const char* executor, const SimClock& sim_clock,
       // Always-on flight recorder: bounded per-worker rings, merged into
       // result.flight by finalize_run. Recording never touches the RNG,
       // the trace, or the event list, so enabling it cannot perturb the run.
-      flight(prepared.workers.size(), config.flight.track_capacity,
+      flight(prepared.workers.size(), obs::kFlightTrackCapacity,
              config.flight.enabled && obs::flight_recording_enabled()),
       health(config.quarantine, prepared.workers.size()),
       auditing(prepared.workers.size(), 0),

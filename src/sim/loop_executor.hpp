@@ -355,8 +355,6 @@ struct SimConfig {
   /// enabled) is the process-wide kill switch used by the overhead bench.
   struct Flight {
     bool enabled = true;
-    /// Ring capacity per worker track (one extra track for the master).
-    std::size_t track_capacity = 64;
     /// Deadline for the deadline-miss anomaly trigger; 0 disables it.
     /// Framework::run_stage_two / execute_plan and the replicated drivers
     /// fill it with the run deadline when left at 0 (the deadline_risk

@@ -410,6 +410,9 @@ ReplicationSummary replicate(const char* who, const SimConfig& config, std::uint
   if (run_config.flight.deadline == 0.0 && deadline > 0.0 && std::isfinite(deadline)) {
     run_config.flight.deadline = deadline;
   }
+  // Replications discard RunResult::flight, so with no armed sink to take a
+  // postmortem, recording is pure cost (and inert: the bytes do not move).
+  if (!obs::FlightSink::global().armed()) run_config.flight.enabled = false;
   const util::SeedSequence seeds(seed);
   struct Totals {
     FaultStats faults;
@@ -451,7 +454,9 @@ void finalize_run(RunResult& result, const SimConfig& config,
   // Postmortem triggers, most severe first: a run can both restart its
   // master and trip quarantine, but one dump explains it.
   obs::FlightAnomaly anomaly;
-  if (config.flight.deadline > 0.0 && result.makespan > config.flight.deadline) {
+  if (!recorder.enabled()) {
+    // Nothing recorded, so no postmortem to write and no trigger to name.
+  } else if (config.flight.deadline > 0.0 && result.makespan > config.flight.deadline) {
     anomaly.kind = "deadline_miss";
     anomaly.detail = "makespan " + std::to_string(result.makespan) +
                      " exceeded deadline " + std::to_string(config.flight.deadline);

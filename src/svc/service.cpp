@@ -460,7 +460,8 @@ ServiceRunResult SchedulingService::run(std::vector<ScenarioRequest> requests) {
   if (!config_.journal_path.empty()) {
     journal.open(config_.journal_path, config_.journal_truncate);
   }
-  obs::FlightRecorder flight(config_.shards, 64, obs::flight_recording_enabled());
+  obs::FlightRecorder flight(config_.shards, obs::kFlightTrackCapacity,
+                             obs::flight_recording_enabled());
 
   // Phase A: the serial deterministic event loop.
   EventLoop loop(config_, requests, result, journal, flight);

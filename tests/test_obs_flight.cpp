@@ -249,6 +249,30 @@ TEST(FlightPostmortem, UnarmedSinkWritesNothing) {
   EXPECT_TRUE(fs::is_empty(dir));
 }
 
+TEST(FlightPostmortem, ReplicatedSummaryIsTheSameWithTheSinkArmedOrUnarmed) {
+  // An unarmed sweep runs with recording off; an armed one records and
+  // dumps its misses. Neither may change a byte of the summary.
+  const workload::Application app = steady_app();
+  sim::SimConfig config;
+  config.iteration_cov = 0.2;
+  auto replicate = [&](double deadline) {
+    return sim::simulate_replicated(app, 0, 4, test::full_availability(1),
+                                    dls::TechniqueId::kFAC, config, 21, 16, deadline, 2);
+  };
+  const double deadline = replicate(1e9).median_makespan;
+  const std::string unarmed = obs::to_json(replicate(deadline), deadline).dump(1);
+  const fs::path dir = scratch_dir("armed_summary");
+  std::string armed;
+  {
+    ArmedSink sink(dir / "pm");
+    armed = obs::to_json(replicate(deadline), deadline).dump(1);
+  }
+  const std::size_t dumps = sorted_dump_contents(dir).size();
+  EXPECT_GT(dumps, 0u);   // some replications missed and dumped
+  EXPECT_LT(dumps, 16u);  // and some met the deadline
+  EXPECT_EQ(unarmed, armed);
+}
+
 // ----------------------------------------------------------- openmetrics --
 
 TEST(OpenMetrics, GoldenExpositionRendersExactly) {
